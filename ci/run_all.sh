@@ -12,6 +12,7 @@ cd "$(dirname "$0")"
 ./net_smoke.sh
 ./chaos_smoke.sh
 ./elastic_smoke.sh
+./benchmark_smoke.sh
 ./tables_gate.sh
 # Informational native-codegen lane; never gates (runner CPUs vary).
 ./bench_native.sh || echo "bench_native: non-gating failure ignored"

@@ -125,7 +125,7 @@ fn crash_cycle(
     // Phase 1: durable batched pipeline, killed after `kill` ticks —
     // dropped mid-flight, no checkpoint.
     let store = DurableStore::open(&dir).expect("open store");
-    let pipeline = IngestPipeline::start_batched(SEED_SHARDS, workload::server_endpoints(STREAMS));
+    let pipeline = IngestPipeline::start(SEED_SHARDS, workload::server_endpoints(STREAMS));
     let mut durable = DurableIngest::new(pipeline, store, SNAPSHOT_EVERY).expect("genesis");
     for wire in &traffic[..kill as usize] {
         durable.try_ingest_tick(wire).expect("append+apply");

@@ -137,6 +137,12 @@ impl FrameDecoder {
         self.decode_failures
     }
 
+    /// Counts `n` bodies that failed to parse on a walk driven through
+    /// [`FrameDecoder::for_each_frame`].
+    pub(crate) fn note_body_failures(&mut self, n: u64) {
+        self.decode_failures += n;
+    }
+
     /// Walks every structurally valid frame in `wire`, without decoding
     /// bodies — the shard router's path. A truncated header or a length
     /// prefix overrunning the buffer counts one failure and ends the walk
@@ -364,7 +370,7 @@ impl BufferPool {
     pub fn bounded(cap: usize) -> Self {
         assert!(cap > 0, "pool cap must be positive");
         BufferPool {
-            free: Vec::new(),
+            free: Vec::with_capacity(cap),
             cap,
             shed: 0,
         }
@@ -397,6 +403,17 @@ impl BufferPool {
             .free
             .partition_point(|b| b.capacity() <= buf.capacity());
         self.free.insert(pos, buf);
+    }
+
+    /// Clears every pooled buffer and grows it to at least `capacity`
+    /// bytes, so no later [`BufferPool::get`] hands out one that must grow
+    /// again for a batch size the pool has already seen.
+    pub fn reserve_each(&mut self, capacity: usize) {
+        for buf in self.free.iter_mut() {
+            buf.clear();
+            buf.reserve(capacity);
+        }
+        self.free.sort_unstable_by_key(BytesMut::capacity);
     }
 
     /// Buffers currently pooled.
@@ -555,6 +572,20 @@ mod tests {
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.shed(), 1);
         assert!(pool.get().capacity() >= 200);
+    }
+
+    #[test]
+    fn reserve_each_grows_every_pooled_buffer_and_keeps_the_order() {
+        let mut pool = BufferPool::bounded(4);
+        let mut full = BytesMut::with_capacity(8);
+        full.put_slice(b"leftover");
+        pool.put(full);
+        pool.put(BytesMut::with_capacity(300));
+        pool.put(BytesMut::new());
+        pool.reserve_each(100);
+        let caps: Vec<usize> = (0..3).map(|_| pool.get().capacity()).collect();
+        assert!(caps.iter().all(|&c| c >= 100), "{caps:?}");
+        assert!(caps[0] >= 300, "largest still handed out first: {caps:?}");
     }
 
     #[test]

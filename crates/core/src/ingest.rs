@@ -13,8 +13,11 @@
 //!                        ◀──────────── recycled buffers ─────────────
 //! ```
 //!
-//! Each worker **owns** its `stream_id → ServerEndpoint` map — no locks on
-//! the hot path, in the spirit of share-nothing per-core stream engines.
+//! Each worker **owns** its endpoints — no locks on the hot path, in the
+//! spirit of share-nothing per-core stream engines — and steps them through
+//! the fleet-batch engine (`crate::batch_ingest`): same-model streams share
+//! structure-of-arrays lanes, and state syncs are parsed from the frame
+//! bytes straight onto them.
 //! Determinism falls out of three facts: the `stream_id % shards` route is
 //! stable, each shard's channel is FIFO so a stream's ticks arrive in order,
 //! and endpoints are independent so cross-endpoint interleaving cannot
@@ -23,9 +26,10 @@
 //! the proptests and `bench_ingest` both enforce.
 //!
 //! Tick semantics match the simulator exactly: one [`IngestPipeline::ingest_tick`]
-//! call advances **every** endpoint one predict step (via
-//! [`ServerEndpoint::advance`]) after enqueueing that tick's messages, just
-//! like [`kalstream_sim::Consumer::estimate`]. [`IngestPipeline::flush`] is
+//! call advances **every** endpoint one predict step and applies that
+//! tick's messages in arrival order — for each endpoint the operations of
+//! [`ServerEndpoint::advance`] after enqueueing them, just like
+//! [`kalstream_sim::Consumer::estimate`]. [`IngestPipeline::flush`] is
 //! the barrier that makes "all ticks sent so far are applied" observable.
 
 use std::collections::HashMap;
@@ -33,12 +37,11 @@ use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use kalstream_sim::Consumer;
 
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
 use crate::batch_ingest::BatchShardEngine;
-use crate::frame::{BufferPool, FrameBatch, FrameDecoder};
+use crate::frame::{BufferPool, FrameBatch, FrameDecoder, DEFAULT_POOL_CAP};
 use crate::server::{EndpointState, ServerEndpoint};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
@@ -131,108 +134,6 @@ enum ShardJob {
     /// the tick boundary where the job was enqueued — the durability
     /// layer's snapshot barrier, without stopping the other shards.
     Snapshot(Sender<Vec<(u32, EndpointState)>>),
-}
-
-/// What a shard worker steps each tick: the plain per-endpoint map, or the
-/// fleet-batch dispatch engine. Both expose identical tick semantics, so
-/// the worker loop is shared — and for the same traffic both produce
-/// bit-identical endpoints (the batch engine's contract).
-pub(crate) enum ShardEngine {
-    /// One [`ServerEndpoint::advance`] per stream per tick.
-    Plain(HashMap<u32, ServerEndpoint>),
-    /// Same-model groups advanced through structure-of-arrays kernels.
-    Batched(BatchShardEngine),
-}
-
-impl ShardEngine {
-    fn len(&self) -> usize {
-        match self {
-            ShardEngine::Plain(map) => map.len(),
-            ShardEngine::Batched(engine) => engine.len(),
-        }
-    }
-
-    /// Enqueues one decoded message; `false` for unknown streams.
-    fn enqueue_wire(&mut self, stream_id: u32, msg: crate::wire::WireMessage) -> bool {
-        match self {
-            ShardEngine::Plain(map) => match map.get_mut(&stream_id) {
-                Some(ep) => {
-                    ep.enqueue_wire(msg);
-                    true
-                }
-                None => false,
-            },
-            ShardEngine::Batched(engine) => engine.enqueue_wire(stream_id, msg),
-        }
-    }
-
-    /// Advances every endpoint one tick.
-    fn advance_tick(&mut self) {
-        match self {
-            ShardEngine::Plain(map) => {
-                for ep in map.values_mut() {
-                    ep.advance();
-                }
-            }
-            ShardEngine::Batched(engine) => engine.advance_tick(),
-        }
-    }
-
-    /// Stream ids owned by this engine, ascending — the deterministic poll
-    /// order for feedback (cross-stream feedback order must not depend on
-    /// `HashMap` iteration).
-    fn sorted_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = match self {
-            ShardEngine::Plain(map) => map.keys().copied().collect(),
-            ShardEngine::Batched(engine) => engine.stream_ids().collect(),
-        };
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Drains one stream's due feedback (acks, then bound directives) into
-    /// `sink` — the ingest-mode twin of the session loop's
-    /// `while let Some(fb) = consumer.poll_feedback(now)`.
-    fn poll_stream_feedback(&mut self, id: u32, now: u64, sink: &mut dyn FnMut(Bytes)) {
-        let ep = match self {
-            ShardEngine::Plain(map) => map.get_mut(&id),
-            ShardEngine::Batched(engine) => engine.endpoint_mut(id),
-        };
-        if let Some(ep) = ep {
-            while let Some(payload) = ep.poll_feedback(now) {
-                sink(payload);
-            }
-        }
-    }
-
-    /// Captures every endpoint's protocol state, sorted by stream id,
-    /// without consuming the engine (batched lanes are overlaid onto their
-    /// endpoints' captured filter state — see
-    /// [`BatchShardEngine::snapshot_states`]).
-    fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
-        match self {
-            ShardEngine::Plain(map) => {
-                let mut states: Vec<(u32, EndpointState)> =
-                    map.iter().map(|(id, ep)| (*id, ep.state())).collect();
-                states.sort_by_key(|(id, _)| *id);
-                states
-            }
-            ShardEngine::Batched(engine) => engine.snapshot_states(),
-        }
-    }
-
-    /// Tears down into endpoints sorted by stream id (batched lanes are
-    /// restored into their endpoint filters first).
-    fn finish(self) -> Vec<(u32, ServerEndpoint)> {
-        match self {
-            ShardEngine::Plain(map) => {
-                let mut endpoints: Vec<(u32, ServerEndpoint)> = map.into_iter().collect();
-                endpoints.sort_by_key(|(id, _)| *id);
-                endpoints
-            }
-            ShardEngine::Batched(engine) => engine.finish(),
-        }
-    }
 }
 
 /// What one shard worker did, reported at [`IngestPipeline::finish`].
@@ -370,8 +271,6 @@ pub struct IngestPipeline {
     recycle_tx: Sender<BytesMut>,
     /// The live stream→shard route, shared by the router and worker spawn.
     assignment: ShardAssignment,
-    /// Whether shards run the fleet-batch engine (preserved across resizes).
-    batched: bool,
     /// Feedback channel handed to every worker generation, when enabled.
     feedback: Option<Sender<(u32, Bytes)>>,
     /// Reports from worker generations retired by earlier resizes; folded
@@ -386,14 +285,14 @@ pub struct IngestPipeline {
     /// buffer in rotation reach the workload's high-water capacity — the
     /// property that makes steady-state ticks allocation-free.
     outstanding: usize,
-    /// Largest batch (wire bytes) sent to any shard so far. Every buffer
-    /// handed out is reserved to this size, so after a new high-water tick
-    /// the whole population converges within one rotation instead of
-    /// stragglers paying growth reallocs arbitrarily late.
+    /// Largest batch (wire bytes) sent to any shard so far. A new
+    /// high-water tick grows the idle pool at once, and buffers in flight
+    /// grow as they return, so every buffer handed out already fits it:
+    /// no straggler pays a growth realloc arbitrarily late, however deep
+    /// into the pool a busy tick reaches.
     high_water: usize,
-    /// `(batched, scalar)` stream counts, recorded at start for batched
-    /// pipelines (`None` for plain ones).
-    coverage: Option<(usize, usize)>,
+    /// `(batched, scalar)` stream counts at the last worker spawn.
+    coverage: (usize, usize),
 }
 
 impl IngestPipeline {
@@ -403,27 +302,14 @@ impl IngestPipeline {
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn start(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(shards, endpoints, false)
+        IngestPipeline::start_inner(ShardAssignment::modulo(shards), endpoints, None)
     }
 
-    /// Like [`IngestPipeline::start`], but each shard steps its eligible
-    /// endpoints through the fleet-batch dispatch engine
-    /// ([`crate::BatchShardEngine`]) — bit-identical output, one
-    /// structure-of-arrays predict per same-model group per tick instead of
-    /// one filter call per stream. [`IngestPipeline::coverage`] reports how
-    /// many streams took the batch path.
-    ///
-    /// # Panics
-    /// Panics when `shards` is 0.
-    pub fn start_batched(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(shards, endpoints, true)
-    }
-
-    /// Like [`IngestPipeline::start`]/[`IngestPipeline::start_batched`],
-    /// but each shard also polls its endpoints' feedback (acks, bound
-    /// directives) after every tick's advance and ships `(stream_id,
-    /// payload)` pairs out the returned channel — the hook a network server
-    /// uses to route acks back to source connections.
+    /// Like [`IngestPipeline::start`], but each shard also polls its
+    /// endpoints' feedback (acks, bound directives) after every tick and
+    /// ships `(stream_id, payload)` pairs out the returned channel — the
+    /// hook a network server uses to route acks back to source connections.
+    /// Only streams with feedback due are polled.
     ///
     /// Ordering: within one stream, feedback arrives in poll order (acks
     /// before bounds, per [`ServerEndpoint`]'s contract); across streams of
@@ -433,20 +319,19 @@ impl IngestPipeline {
     /// barrier; [`IngestPipeline::flush`] guarantees all feedback for
     /// flushed ticks is in the channel when it returns.
     ///
+    /// The third argument is ignored — every shard runs the fleet-batch
+    /// engine — and is kept so existing callers compile unchanged.
+    ///
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn start_with_feedback(
         shards: usize,
         endpoints: Vec<(u32, ServerEndpoint)>,
-        batched: bool,
+        _batched: bool,
     ) -> (Self, Receiver<(u32, Bytes)>) {
         let (tx, rx) = unbounded();
-        let pipe = IngestPipeline::start_inner(
-            ShardAssignment::modulo(shards),
-            endpoints,
-            batched,
-            Some(tx),
-        );
+        let pipe =
+            IngestPipeline::start_inner(ShardAssignment::modulo(shards), endpoints, Some(tx));
         (pipe, rx)
     }
 
@@ -461,24 +346,18 @@ impl IngestPipeline {
         assignment: ShardAssignment,
         endpoints: Vec<(u32, ServerEndpoint)>,
     ) -> Self {
-        IngestPipeline::start_inner(assignment, endpoints, false, None)
-    }
-
-    fn start_with(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>, batched: bool) -> Self {
-        IngestPipeline::start_inner(ShardAssignment::modulo(shards), endpoints, batched, None)
+        IngestPipeline::start_inner(assignment, endpoints, None)
     }
 
     fn start_inner(
         assignment: ShardAssignment,
         endpoints: Vec<(u32, ServerEndpoint)>,
-        batched: bool,
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
         let shards = assignment.shards;
         assert!(shards > 0, "ingest needs at least one shard");
         let (recycle_tx, recycle_rx) = unbounded();
-        let (handles, coverage) =
-            spawn_workers(assignment, endpoints, batched, &feedback, &recycle_tx);
+        let (handles, coverage) = spawn_workers(assignment, endpoints, &feedback, &recycle_tx);
         IngestPipeline {
             shards: handles,
             batches: (0..shards).map(|_| FrameBatch::new()).collect(),
@@ -486,7 +365,6 @@ impl IngestPipeline {
             recycle_rx,
             recycle_tx,
             assignment,
-            batched,
             feedback,
             retired: Vec::new(),
             router: FrameDecoder::new(),
@@ -496,10 +374,11 @@ impl IngestPipeline {
         }
     }
 
-    /// `(batched, scalar)` stream counts across shards for a pipeline
-    /// started with [`IngestPipeline::start_batched`]; `None` for the plain
-    /// pipeline.
-    pub fn coverage(&self) -> Option<(usize, usize)> {
+    /// `(batched, scalar)` stream counts across shards when the workers
+    /// were last spawned: how many streams run on fleet-batch lanes, and
+    /// how many step their own filter (shapes outside the batch table, the
+    /// `Simple` covariance form).
+    pub fn coverage(&self) -> (usize, usize) {
         self.coverage
     }
 
@@ -515,10 +394,14 @@ impl IngestPipeline {
 
     /// A cleared buffer for the next batch: pooled if available, freshly
     /// minted while under the population cap, otherwise recycled — blocking
-    /// until a worker hands one back (bounded, since workers always recycle
-    /// their tick buffers before advancing endpoints).
+    /// until a worker hands one back (bounded, since workers recycle every
+    /// tick buffer once its frames are applied). Returning buffers are
+    /// grown to the high-water size on arrival, so the pool never holds an
+    /// undersized straggler for a later, busier tick to regrow.
     fn next_buffer(&mut self) -> BytesMut {
-        while let Ok(buf) = self.recycle_rx.try_recv() {
+        while let Ok(mut buf) = self.recycle_rx.try_recv() {
+            buf.clear();
+            buf.reserve(self.high_water);
             self.pool.put(buf);
         }
         let mut buf = if !self.pool.is_empty() {
@@ -599,13 +482,7 @@ impl IngestPipeline {
             endpoints.extend(result.endpoints);
         }
         endpoints.sort_by_key(|(id, _)| *id);
-        let (handles, coverage) = spawn_workers(
-            to,
-            endpoints,
-            self.batched,
-            &self.feedback,
-            &self.recycle_tx,
-        );
+        let (handles, coverage) = spawn_workers(to, endpoints, &self.feedback, &self.recycle_tx);
         self.shards = handles;
         self.coverage = coverage;
         self.assignment = to;
@@ -645,10 +522,23 @@ impl IngestPipeline {
         self.router.for_each_frame(wire, |frame| {
             batches[assignment.route(frame.stream_id)].push_raw(frame.stream_id, frame.body);
         });
+        let tick_max = self.batches.iter().map(FrameBatch::wire_len).max();
+        if let Some(tick_max) = tick_max.filter(|&len| len > self.high_water) {
+            // A new high-water tick: mint the rest of the buffer population
+            // and grow every idle buffer now, before any fresh batch is
+            // handed out. How many buffers are in flight at once depends on
+            // shard speed; this way no later tick, however busy, mints or
+            // regrows one.
+            self.high_water = tick_max;
+            while self.outstanding < self.buffer_cap() && self.pool.len() < DEFAULT_POOL_CAP {
+                self.outstanding += 1;
+                self.pool.put(BytesMut::new());
+            }
+            self.pool.reserve_each(tick_max);
+        }
         for shard in 0..shards {
             let fresh = FrameBatch::from_buffer(self.next_buffer());
             let batch = std::mem::replace(&mut self.batches[shard], fresh);
-            self.high_water = self.high_water.max(batch.wire_len());
             self.shards[shard]
                 .tx
                 .send(ShardJob::Tick(batch.into_buffer()))
@@ -726,34 +616,26 @@ impl IngestPipeline {
 /// Groups `endpoints` under `assignment` and spawns one worker per shard.
 /// Shared by pipeline start and [`IngestPipeline::reassign`] so both
 /// generations are built by exactly the same code path. Returns the shard
-/// handles and the batch-path coverage (`None` for plain pipelines).
+/// handles and the batch-path coverage.
 fn spawn_workers(
     assignment: ShardAssignment,
     endpoints: Vec<(u32, ServerEndpoint)>,
-    batched: bool,
     feedback: &Option<Sender<(u32, Bytes)>>,
     recycle_tx: &Sender<BytesMut>,
-) -> (Vec<ShardHandle>, Option<(usize, usize)>) {
+) -> (Vec<ShardHandle>, (usize, usize)) {
     let mut groups: Vec<Vec<(u32, ServerEndpoint)>> =
         (0..assignment.shards).map(|_| Vec::new()).collect();
     for (id, ep) in endpoints {
         groups[assignment.route(id)].push((id, ep));
     }
-    let mut coverage = batched.then_some((0usize, 0usize));
-    let engines: Vec<ShardEngine> = groups
+    let mut coverage = (0, 0);
+    let engines: Vec<BatchShardEngine> = groups
         .into_iter()
         .map(|group| {
-            if batched {
-                let engine = BatchShardEngine::new(group);
-                if let Some(c) = coverage.as_mut() {
-                    let (b, s) = engine.coverage();
-                    c.0 += b;
-                    c.1 += s;
-                }
-                ShardEngine::Batched(engine)
-            } else {
-                ShardEngine::Plain(group.into_iter().collect())
-            }
+            let engine = BatchShardEngine::new(group);
+            let (b, s) = engine.coverage();
+            coverage = (coverage.0 + b, coverage.1 + s);
+            engine
         })
         .collect();
     let handles = engines
@@ -790,13 +672,10 @@ fn shard_worker(
     ack_tx: Sender<()>,
     recycle: Sender<BytesMut>,
     feedback: Option<Sender<(u32, Bytes)>>,
-    mut engine: ShardEngine,
+    mut engine: BatchShardEngine,
 ) -> ShardResult {
     let mut decoder = FrameDecoder::new();
     let streams = engine.len();
-    // Cached once: poll order must be deterministic and the per-tick loop
-    // allocation-free. Shard membership never changes after start.
-    let feedback_ids = feedback.as_ref().map(|_| engine.sorted_ids());
     let mut ticks = 0u64;
     let mut messages = 0u64;
     let mut bytes_in = 0u64;
@@ -816,32 +695,25 @@ fn shard_worker(
             ShardJob::Tick(buf) => {
                 let span = SpanTimer::start();
                 bytes_in += buf.len() as u64;
-                decoder.for_each_wire_message(&buf, |id, msg| {
-                    if engine.enqueue_wire(id, msg) {
-                        messages += 1;
-                    } else {
-                        unknown_streams += 1;
-                    }
-                });
-                // Hand the buffer back before the compute phase so the
-                // router can reuse it while we advance filters. A failed
-                // hand-back (router gone) must be counted, not swallowed:
-                // in steady state it means the pool is leaking capacity.
+                let counts = engine.ingest_tick(&mut decoder, &buf);
+                messages += counts.messages;
+                unknown_streams += counts.unknown_streams;
+                // Frames borrowed the buffer until here. A failed hand-back
+                // (router gone) must be counted, not swallowed: in steady
+                // state it means the pool is leaking capacity.
                 if recycle.send(buf).is_err() {
                     recycle_drops += 1;
                 }
-                engine.advance_tick();
-                if let (Some(tx), Some(ids)) = (&feedback, &feedback_ids) {
-                    for &id in ids {
-                        engine.poll_stream_feedback(id, ticks, &mut |payload| {
-                            // A closed receiver during drain is lost
-                            // feedback — count it, never `let _` it away.
-                            match tx.send((id, payload)) {
-                                Ok(()) => feedback_out += 1,
-                                Err(_) => feedback_drops += 1,
-                            }
-                        });
-                    }
+                match &feedback {
+                    Some(tx) => engine.poll_feedback(ticks, |id, payload| {
+                        // A closed receiver during drain is lost feedback —
+                        // count it, never `let _` it away.
+                        match tx.send((id, payload)) {
+                            Ok(()) => feedback_out += 1,
+                            Err(_) => feedback_drops += 1,
+                        }
+                    }),
+                    None => engine.forget_feedback(),
                 }
                 ticks += 1;
                 busy += std::time::Duration::from_nanos(span.stop(&mut tick_ns));
@@ -1153,6 +1025,17 @@ mod tests {
         (servers, log)
     }
 
+    /// Switches endpoints to the `Simple` covariance form, which has no
+    /// batch kernel: the engine keeps them on their own filters. Ingest
+    /// equivalence does not depend on the form, so tests use it to cover
+    /// the scalar route with the same traffic.
+    fn scalar_route(servers: &mut [(u32, ServerEndpoint)]) {
+        for (_, ep) in servers.iter_mut() {
+            ep.filter_mut()
+                .set_covariance_update(kalstream_filter::CovarianceUpdate::Simple);
+        }
+    }
+
     fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {
         let f = ep.filter();
         f.state()
@@ -1179,7 +1062,7 @@ mod tests {
             ack_tx,
             recycle_tx,
             None,
-            ShardEngine::Plain(HashMap::new()),
+            BatchShardEngine::new(Vec::new()),
         );
         assert_eq!(result.report.recycle_drops, 2);
         assert_eq!(result.report.ticks, 2);
@@ -1219,8 +1102,8 @@ mod tests {
     #[test]
     fn batched_pipeline_matches_sequential_bit_for_bit() {
         // 2-state constant-velocity sessions are batch-eligible; the
-        // batched pipeline must reproduce the sequential reference exactly
-        // at every shard count, like the plain pipeline does.
+        // pipeline must reproduce the sequential reference exactly at every
+        // shard count, as it does for the 1-state fleet above.
         use kalstream_filter::models;
         use kalstream_linalg::Vector;
         let mut sources = Vec::new();
@@ -1257,8 +1140,8 @@ mod tests {
         assert!(seq_result.total_messages() > 0);
 
         for shards in [1, 2, 3, 5] {
-            let mut pipe = IngestPipeline::start_batched(shards, servers.clone());
-            assert_eq!(pipe.coverage(), Some((12, 0)));
+            let mut pipe = IngestPipeline::start(shards, servers.clone());
+            assert_eq!(pipe.coverage(), (12, 0));
             for tick in &log {
                 pipe.ingest_tick(tick);
             }
@@ -1277,10 +1160,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_pipeline_reports_no_coverage() {
-        let (servers, _) = record_log(2, 0);
-        let pipe = IngestPipeline::start(2, servers);
-        assert_eq!(pipe.coverage(), None);
+    fn pipeline_reports_batch_coverage() {
+        let (mut servers, _) = record_log(3, 0);
+        scalar_route(&mut servers[2..]);
+        let mut pipe = IngestPipeline::start(2, servers);
+        assert_eq!(pipe.coverage(), (2, 1));
+        pipe.reassign(ShardAssignment::modulo(3));
+        assert_eq!(pipe.coverage(), (2, 1), "recounted after a resize");
         pipe.finish();
     }
 
@@ -1309,15 +1195,17 @@ mod tests {
 
     #[test]
     fn resizes_at_tick_barriers_are_bit_identical_to_unresized() {
-        let (servers, log) = record_log(12, 60);
-        let mut seq = SequentialIngest::new(servers.clone());
-        for tick in &log {
-            seq.ingest_tick(tick);
-        }
-        let seq_result = seq.finish();
-        assert!(seq_result.total_messages() > 0);
-
-        for batched in [false, true] {
+        for scalar in [false, true] {
+            let (mut servers, log) = record_log(12, 60);
+            if scalar {
+                scalar_route(&mut servers);
+            }
+            let mut seq = SequentialIngest::new(servers.clone());
+            for tick in &log {
+                seq.ingest_tick(tick);
+            }
+            let seq_result = seq.finish();
+            assert!(seq_result.total_messages() > 0);
             // Grow, rebalance (same count, new salt), shrink, and shrink to
             // one — mid-run, at tick barriers. None of it may be visible in
             // the final filter state.
@@ -1327,11 +1215,8 @@ mod tests {
                 (40, ShardAssignment::salted(2, 3)),
                 (50, ShardAssignment::modulo(1)),
             ];
-            let mut pipe = if batched {
-                IngestPipeline::start_batched(1, servers.clone())
-            } else {
-                IngestPipeline::start(1, servers.clone())
-            };
+            let mut pipe = IngestPipeline::start(1, servers.clone());
+            assert_eq!(pipe.coverage().1, if scalar { 12 } else { 0 });
             for (t, tick) in log.iter().enumerate() {
                 if let Some((_, to)) = schedule.iter().find(|(at, _)| *at == t) {
                     let transition = pipe.reassign(*to);
@@ -1354,7 +1239,7 @@ mod tests {
                 assert_eq!(
                     filter_bits(a),
                     filter_bits(b),
-                    "stream {id_a} diverged across resizes (batched={batched})"
+                    "stream {id_a} diverged across resizes (scalar={scalar})"
                 );
                 assert_eq!(a.syncs_applied(), b.syncs_applied());
             }
@@ -1512,8 +1397,6 @@ mod tests {
             }
             .encode()
         };
-        let (servers, _) = record_log(6, 0);
-        let mut seq = SequentialIngest::new(servers.clone());
         let mut log = Vec::new();
         for t in 0..4u64 {
             let mut batch = FrameBatch::new();
@@ -1524,14 +1407,17 @@ mod tests {
             }
             log.push(batch.as_bytes().to_vec());
         }
-        for tick in &log {
-            seq.ingest_tick(tick);
-        }
-        let seq_result = seq.finish();
-
-        for batched in [false, true] {
-            let (mut pipe, fb_rx) =
-                IngestPipeline::start_with_feedback(3, servers.clone(), batched);
+        for scalar in [false, true] {
+            let (mut servers, _) = record_log(6, 0);
+            if scalar {
+                scalar_route(&mut servers);
+            }
+            let mut seq = SequentialIngest::new(servers.clone());
+            for tick in &log {
+                seq.ingest_tick(tick);
+            }
+            let seq_result = seq.finish();
+            let (mut pipe, fb_rx) = IngestPipeline::start_with_feedback(3, servers, false);
             for tick in &log {
                 pipe.ingest_tick(tick);
             }

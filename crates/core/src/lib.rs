@@ -22,13 +22,12 @@
 //!   explicit byte accounting for experiment T3.
 //! * [`frame`] — the length-prefixed frame layer that batches many messages
 //!   from many streams into one pooled buffer for ingest.
-//! * [`ingest`] — the sharded ingest pipeline: per-shard worker threads each
-//!   owning a `stream_id → ServerEndpoint` map, bit-identical to sequential
-//!   apply for any shard count.
-//! * [`BatchShardEngine`] / [`BatchedIngest`] — the fleet-batch dispatch
-//!   layer: same-model streams stepped through structure-of-arrays kernels
-//!   (`kalstream_filter::FleetBatch`), bit-identical to the scalar path and
-//!   pluggable into the pipeline via [`IngestPipeline::start_batched`].
+//! * [`ingest`] — the sharded ingest pipeline: per-shard worker threads,
+//!   bit-identical to sequential apply for any shard count. Every shard
+//!   runs the fleet-batch engine: same-model streams stepped through
+//!   structure-of-arrays kernels (`kalstream_filter::FleetBatch`), with
+//!   each tick's state syncs parsed from the frame bytes straight onto
+//!   their lanes.
 //! * [`SourceEndpoint`] / [`ServerEndpoint`] — the two ends of the protocol,
 //!   implementing the simulator's `Producer`/`Consumer` traits.
 //! * [`StreamSession`] — constructs a matched endpoint pair from a
@@ -69,7 +68,6 @@ mod source;
 pub mod wire;
 
 pub use alloc::{AllocationResult, BudgetAllocator, StreamDemand};
-pub use batch_ingest::{BatchShardEngine, BatchedIngest};
 pub use config::{ProtocolConfig, ResyncPayload};
 pub use controller::FleetController;
 pub use error::CoreError;

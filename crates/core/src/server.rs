@@ -1,5 +1,7 @@
 //! The server endpoint: prediction-based query answering.
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
 use kalstream_linalg::{Matrix, Vector};
@@ -13,7 +15,7 @@ use crate::wire::{SyncMessage, WireMessage};
 /// outpacing `estimate` (a stalled or missing drain); shedding the oldest
 /// entries bounds memory and — under full-state sync semantics — loses
 /// nothing once a newer sync lands.
-const PENDING_CAP: usize = 256;
+pub(crate) const PENDING_CAP: usize = 256;
 
 /// The server side of the suppression protocol.
 ///
@@ -28,7 +30,8 @@ pub struct ServerEndpoint {
     filter: KalmanFilter,
     /// Messages delivered this tick, applied inside [`Consumer::estimate`]
     /// *after* the predict step so server and shadow stay in lock-step.
-    pending: Vec<SyncMessage>,
+    /// A ring, so shedding the oldest at the cap is O(1).
+    pending: VecDeque<SyncMessage>,
     syncs_applied: Counter,
     decode_failures: Counter,
     predict_failures: Counter,
@@ -52,7 +55,7 @@ impl ServerEndpoint {
     pub(crate) fn new(filter: KalmanFilter) -> Self {
         ServerEndpoint {
             filter,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             syncs_applied: Counter::new(),
             decode_failures: Counter::new(),
             predict_failures: Counter::new(),
@@ -116,10 +119,10 @@ impl ServerEndpoint {
     /// from the front preserves the freshest state.
     pub fn enqueue(&mut self, msg: SyncMessage) {
         if self.pending.len() >= PENDING_CAP {
-            self.pending.remove(0);
+            self.pending.pop_front();
             self.delivery.shed += 1;
         }
-        self.pending.push(msg);
+        self.pending.push_back(msg);
     }
 
     /// Queues one decoded v3 wire message, running sequence bookkeeping —
@@ -134,17 +137,8 @@ impl ServerEndpoint {
     /// a lost ack is healed by the next arrival of anything.
     pub fn enqueue_wire(&mut self, msg: WireMessage) {
         match msg {
-            WireMessage::Sync { seq: None, msg } => self.enqueue(msg),
-            WireMessage::Sync {
-                seq: Some(seq),
-                msg,
-            } => {
-                self.ack_due = true;
-                if seq <= self.last_seq {
-                    self.delivery.stale_drops += 1;
-                } else {
-                    self.delivery.seq_gaps += seq - self.last_seq - 1;
-                    self.last_seq = seq;
+            WireMessage::Sync { seq, msg } => {
+                if self.accept_seq(seq) {
                     self.enqueue(msg);
                 }
             }
@@ -152,6 +146,32 @@ impl ServerEndpoint {
             // violation by the peer; drop and count like any unusable message.
             WireMessage::Ack { .. } | WireMessage::Bound { .. } => self.decode_failures += 1,
         }
+    }
+
+    /// The sequence bookkeeping of [`ServerEndpoint::enqueue_wire`] for one
+    /// arriving sync: `true` when the sync is to be applied, `false` when it
+    /// is stale. Unsequenced syncs are always accepted and arm no ack. The
+    /// batch engine calls this directly for syncs it applies straight from
+    /// the frame bytes.
+    pub(crate) fn accept_seq(&mut self, seq: Option<u64>) -> bool {
+        let Some(seq) = seq else {
+            return true;
+        };
+        self.ack_due = true;
+        if seq <= self.last_seq {
+            self.delivery.stale_drops += 1;
+            false
+        } else {
+            self.delivery.seq_gaps += seq - self.last_seq - 1;
+            self.last_seq = seq;
+            true
+        }
+    }
+
+    /// Whether an ack or a bound directive is waiting for the next
+    /// feedback poll.
+    pub(crate) fn feedback_due(&self) -> bool {
+        self.ack_due || self.bound_due.is_some()
     }
 
     /// Highest sequence number accepted (0 before the first sequenced sync).
@@ -191,14 +211,9 @@ impl ServerEndpoint {
     /// Pops the oldest queued sync, if any — the batch ingest engine drains
     /// pending through this (front-to-back, like [`ServerEndpoint::advance`])
     /// while applying syncs to a fleet-batch lane instead of the endpoint's
-    /// own filter. `Vec::remove(0)` keeps the buffer's capacity, and the
-    /// queue is a handful of messages at most (see [`PENDING_CAP`]).
+    /// own filter.
     pub(crate) fn pop_pending(&mut self) -> Option<SyncMessage> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.pending.remove(0))
-        }
+        self.pending.pop_front()
     }
 
     /// Counts one applied sync — the batch engine's twin of the bookkeeping
@@ -233,7 +248,7 @@ impl ServerEndpoint {
             p: self.filter.covariance().clone(),
             steps_since_update: self.filter.steps_since_update(),
             cov_update: self.filter.covariance_update(),
-            pending: self.pending.clone(),
+            pending: self.pending.iter().cloned().collect(),
             syncs_applied: self.syncs_applied.get(),
             decode_failures: self.decode_failures.get(),
             predict_failures: self.predict_failures.get(),
@@ -276,7 +291,7 @@ impl ServerEndpoint {
         filter.restore(x, p, steps_since_update)?;
         Ok(ServerEndpoint {
             filter,
-            pending,
+            pending: pending.into(),
             syncs_applied: Counter::from(syncs_applied),
             decode_failures: Counter::from(decode_failures),
             predict_failures: Counter::from(predict_failures),
@@ -293,9 +308,20 @@ impl ServerEndpoint {
     /// workers call this once per endpoint per tick; because the order is
     /// identical to the simulator path, ingest stays bit-compatible with it.
     pub fn advance(&mut self) {
+        self.predict_step();
+        self.drain_pending();
+    }
+
+    /// The predict half of [`ServerEndpoint::advance`].
+    pub(crate) fn predict_step(&mut self) {
         if self.filter.predict().is_err() {
             self.predict_failures += 1;
         }
+    }
+
+    /// The apply half of [`ServerEndpoint::advance`]: every queued sync, in
+    /// arrival order, onto the endpoint's own filter.
+    pub(crate) fn drain_pending(&mut self) {
         // Drain in place so `pending` keeps its capacity (steady-state
         // ingest ticks must not allocate).
         for msg in self.pending.drain(..) {

@@ -379,6 +379,45 @@ impl WireMessage {
     }
 }
 
+/// Largest state dimension [`parse_state`] reads — the largest fleet-batch
+/// lane shape.
+pub(crate) const MAX_VIEW_DIM: usize = 8;
+
+/// Parses `body` as a `[seq] State` sync whose state has exactly `n`
+/// components (`1 ≤ n ≤ MAX_VIEW_DIM`): writes the state into `x[..n]` and
+/// `P`'s row-major upper triangle into `p_upper[..n (n + 1) / 2]`, and
+/// returns the sequence number (`Some(None)` when unsequenced). Anything
+/// else — another tag, another dimension, truncation, trailing bytes — is
+/// `None`, with nothing written. Every body this accepts,
+/// [`WireMessage::decode`] decodes to `Sync { seq, msg: State { x, p } }`
+/// with exactly these values (the decoder mirrors the same upper triangle),
+/// so a caller can apply the parse in place of the decoded message and hand
+/// every `None` to the decoder.
+pub(crate) fn parse_state(
+    body: &[u8],
+    n: usize,
+    x: &mut [f64],
+    p_upper: &mut [f64],
+) -> Option<Option<u64>> {
+    if n == 0 || n > MAX_VIEW_DIM {
+        return None;
+    }
+    let (seq, rest) = match body.split_first()? {
+        (&TAG_SEQ, mut rest) if rest.len() >= 8 => (Some(rest.get_u64_le()), rest),
+        _ => (None, body),
+    };
+    let (&TAG_STATE, mut rest) = rest.split_first()? else {
+        return None;
+    };
+    if rest.len() != 4 + 8 * (n + tri_elems(n)) || rest.get_u32_le() as usize != n {
+        return None;
+    }
+    for v in x[..n].iter_mut().chain(&mut p_upper[..tri_elems(n)]) {
+        *v = rest.get_f64_le();
+    }
+    Some(seq)
+}
+
 fn decode_err(reason: &str) -> CoreError {
     CoreError::Decode {
         reason: reason.to_string(),
@@ -541,6 +580,39 @@ mod tests {
         let bytes = msg.encode();
         assert_eq!(bytes.len(), msg.encoded_len());
         assert_eq!(SyncMessage::decode(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn parse_state_reads_exactly_what_decode_accepts() {
+        let (mut x, mut p) = ([0.0; MAX_VIEW_DIM], [0.0; 36]);
+        for seq in [None, Some(7)] {
+            let body = WireMessage::Sync {
+                seq,
+                msg: state_msg(),
+            }
+            .encode();
+            assert_eq!(parse_state(&body, 2, &mut x, &mut p), Some(seq));
+            assert_eq!((&x[..2], &p[..3]), (&[1.5, -2.5][..], &[1.0, 0.1, 2.0][..]));
+            // Wrong dimension, truncation and trailing bytes are left to the
+            // decoder, which reports the latter two as failures.
+            assert_eq!(parse_state(&body, 1, &mut x, &mut p), None);
+            assert_eq!(
+                parse_state(&body[..body.len() - 1], 2, &mut x, &mut p),
+                None
+            );
+            assert!(WireMessage::decode(&body[..body.len() - 1]).is_err());
+            let mut long = body.to_vec();
+            long.push(0);
+            assert_eq!(parse_state(&long, 2, &mut x, &mut p), None);
+            assert!(WireMessage::decode(&long).is_err());
+        }
+        let measurement = SyncMessage::Measurement {
+            z: Vector::from_slice(&[1.0]),
+        }
+        .encode();
+        assert_eq!(parse_state(&measurement, 1, &mut x, &mut p), None);
+        assert_eq!(parse_state(&[], 1, &mut x, &mut p), None);
+        assert_eq!(parse_state(&[TAG_SEQ, 1, 2], 1, &mut x, &mut p), None);
     }
 
     #[test]

@@ -316,3 +316,150 @@ proptest! {
         }
     }
 }
+
+/// One fuzzed frame: stream id, body kind, sequence number (0 = none),
+/// payload selector, mutation, mutation argument, base value.
+type FuzzFrame = (u32, u8, u64, u8, u8, u16, f64);
+
+/// A payload value: finite most of the time, NaN, ±∞ or overflow-prone
+/// otherwise.
+fn fuzz_value(sel: u8, v: f64) -> f64 {
+    match sel % 8 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => v * 1e300,
+        _ => v,
+    }
+}
+
+/// Builds a body from a valid message of the drawn kind — state syncs of
+/// the right and wrong dimension, measurements, model syncs, and the
+/// reverse-channel ack/bound tags — then mutates it: truncated, trailing
+/// bytes, one flipped byte, or replaced by arbitrary bytes.
+fn fuzz_body(&(_, kind, seq, sel, mutation, arg, v): &FuzzFrame) -> Vec<u8> {
+    use kalstream_core::wire::WireMessage;
+    let val = fuzz_value(sel, v);
+    let cov = if sel % 8 == 7 { val } else { v.abs() + 0.1 };
+    let state = |n: usize| SyncMessage::State {
+        x: Vector::from_slice(&vec![val; n]),
+        p: Matrix::scalar(n, cov),
+    };
+    let msg = match kind % 8 {
+        0 | 1 => state(1),
+        2 => state(2),
+        3 => state(3),
+        4 => SyncMessage::Measurement {
+            z: Vector::from_slice(&[val]),
+        },
+        5 => SyncMessage::Measurement {
+            z: Vector::from_slice(&[val, v]),
+        },
+        _ => SyncMessage::Model {
+            model: models::random_walk(0.02, 0.2),
+            x: Vector::from_slice(&[val]),
+            p: Matrix::scalar(1, cov),
+        },
+    };
+    let wire = match (kind / 8) % 8 {
+        0 => WireMessage::Ack { seq },
+        1 => WireMessage::Bound { delta: val },
+        _ => WireMessage::Sync {
+            seq: (seq > 0).then_some(seq),
+            msg,
+        },
+    };
+    let mut body = wire.encode().to_vec();
+    match mutation % 8 {
+        0 => body.truncate(arg as usize % (body.len() + 1)),
+        1 => body.extend_from_slice(&arg.to_le_bytes()[..1 + arg as usize % 2]),
+        2 => {
+            let i = arg as usize % body.len();
+            body[i] ^= (arg >> 8) as u8 | 1;
+        }
+        3 => body = arg.to_le_bytes().repeat(arg as usize % 5),
+        _ => {}
+    }
+    body
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn shard_path_matches_sequential_on_fuzzed_frames(
+        ticks in prop::collection::vec(
+            prop::collection::vec(
+                (0u32..7, any::<u8>(), 0u64..6, any::<u8>(), any::<u8>(), any::<u16>(), -10.0..10.0f64),
+                0..24,
+            ),
+            1..6,
+        ),
+        garbage in prop::collection::vec(any::<u8>(), 0..24),
+        shards in 1usize..4,
+    ) {
+        // The shard engine parses state syncs straight from the frame bytes
+        // onto fleet-batch lanes; everything else takes the general decode
+        // path. On any byte soup it must never panic and must leave exactly
+        // what the sequential reference leaves. Streams 0–3 are (1, 1)
+        // lanes, 4 a (2, 1) lane, 5 a scalar 3-state filter, 6 unknown.
+        let config = || ProtocolConfig::new(0.5).unwrap();
+        let mut servers: Vec<(u32, ServerEndpoint)> = (0..4)
+            .map(|id| (id, SessionSpec::default_scalar(0.0, config()).unwrap().build().split().1))
+            .collect();
+        for (id, model, n) in [
+            (4, models::constant_velocity(1.0, 0.05, 0.1), 2),
+            (5, models::constant_acceleration(1.0, 0.02, 0.1), 3),
+        ] {
+            let spec = SessionSpec::fixed(model, Vector::zeros(n), 1.0, config()).unwrap();
+            servers.push((id, spec.build().split().1));
+        }
+        let mut log: Vec<Vec<u8>> = ticks
+            .iter()
+            .map(|frames| {
+                let mut batch = FrameBatch::new();
+                for frame in frames {
+                    batch.push_raw(frame.0, &fuzz_body(frame));
+                }
+                batch.as_bytes().to_vec()
+            })
+            .collect();
+        log.last_mut().unwrap().extend_from_slice(&garbage);
+
+        let mut seq = SequentialIngest::new(servers.clone());
+        let mut pipe = IngestPipeline::start(shards, servers);
+        prop_assert_eq!(pipe.coverage(), (5, 1));
+        for tick in &log {
+            seq.ingest_tick(tick);
+            pipe.ingest_tick(tick);
+        }
+        pipe.flush();
+        let router_failures = pipe.router_decode_failures();
+        let (a, b) = (pipe.finish(), seq.finish());
+        let sum = |r: &kalstream_core::IngestResult, f: fn(&kalstream_core::ShardReport) -> u64| {
+            r.shards.iter().map(f).sum::<u64>()
+        };
+        prop_assert_eq!(router_failures + a.total_decode_failures(), b.total_decode_failures());
+        prop_assert_eq!(a.total_messages(), b.total_messages());
+        prop_assert_eq!(sum(&a, |s| s.stale_drops), sum(&b, |s| s.stale_drops));
+        prop_assert_eq!(sum(&a, |s| s.unknown_streams), sum(&b, |s| s.unknown_streams));
+        let bits = |ep: &ServerEndpoint| -> Vec<u64> {
+            let f = ep.filter();
+            f.state()
+                .iter()
+                .chain(f.covariance().as_slice())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for ((id, ea), (_, eb)) in a.endpoints.iter().zip(&b.endpoints) {
+            prop_assert_eq!(bits(ea), bits(eb), "stream {} bits", id);
+            prop_assert_eq!(ea.syncs_applied(), eb.syncs_applied(), "stream {}", id);
+            prop_assert_eq!(ea.delivery(), eb.delivery(), "stream {} delivery", id);
+            prop_assert_eq!(ea.decode_failures(), eb.decode_failures(), "stream {}", id);
+            prop_assert_eq!(ea.predict_failures(), eb.predict_failures(), "stream {}", id);
+            prop_assert_eq!(ea.last_seq(), eb.last_seq(), "stream {}", id);
+            prop_assert_eq!(ea.staleness(), eb.staleness(), "stream {}", id);
+            prop_assert_eq!(ea.filter().model().name(), eb.filter().model().name());
+        }
+    }
+}

@@ -2,8 +2,8 @@
 //! ingester — WAL-append before apply, periodic snapshot barriers.
 //!
 //! Generic over [`TickIngest`] + [`SnapshotSource`], so the same wrapper
-//! drives the sequential reference, the sharded pipeline, and the batched
-//! engines identically — which is exactly what the crash-recovery
+//! drives the sequential reference and the sharded pipeline identically —
+//! which is exactly what the crash-recovery
 //! proptests exploit: kill a durable *pipeline*, recover, and compare
 //! against an uncrashed *sequential* run bit for bit.
 

@@ -260,6 +260,45 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         Ok(())
     }
 
+    /// Overwrites lane `lane` from a state slice and the row-major upper
+    /// triangle of a symmetric covariance (row `r` contributes columns
+    /// `r..N`), mirroring each entry into the lower half, and resets its
+    /// staleness — [`FleetBatch::set_lane`] for callers that hold a
+    /// triangle-packed covariance, such as a wire body, without building a
+    /// [`Matrix`] first. Bit-identical to `set_lane` with the mirrored
+    /// matrix.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `x.len() != N` or
+    /// `p_upper.len() != N (N + 1) / 2`.
+    pub fn set_lane_sym(&mut self, lane: usize, x: &[f64], p_upper: &[f64]) -> Result<()> {
+        if x.len() != N {
+            return Err(FilterError::BadModel {
+                what: "x0",
+                expected: (N, 1),
+                actual: (x.len(), 1),
+            });
+        }
+        if p_upper.len() != N * (N + 1) / 2 {
+            return Err(FilterError::BadModel {
+                what: "P0 upper triangle",
+                expected: (N * (N + 1) / 2, 1),
+                actual: (p_upper.len(), 1),
+            });
+        }
+        let mut upper = p_upper.iter();
+        for r in 0..N {
+            self.x[r][lane] = x[r];
+            for c in r..N {
+                let v = *upper.next().expect("length checked above");
+                self.p[r * N + c][lane] = v;
+                self.p[c * N + r][lane] = v;
+            }
+        }
+        self.steps_since_update[lane] = 0;
+        Ok(())
+    }
+
     /// Removes lane `lane` in O(planes): the **last** lane moves into its
     /// slot (`Vec::swap_remove` per plane). Returns the index of the lane
     /// that moved (the old last lane), or `None` when `lane` was the last —
@@ -356,7 +395,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         for steps in self.steps_since_update.iter_mut() {
             *steps += 1;
         }
-        self.count_nonfinite()
+        self.nonfinite_lanes()
     }
 
     /// Joseph-form measurement update for every lane with observations `z`
@@ -665,7 +704,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         for steps in self.steps_since_update.iter_mut() {
             *steps = 0;
         }
-        Ok(self.count_nonfinite())
+        Ok(self.nonfinite_lanes())
     }
 
     /// Measurement update for a single lane, bit-identical to the scalar
@@ -797,7 +836,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// single fused pass accumulates `v · 0.0` over every plane, which is
     /// `0.0` for finite `v` and NaN otherwise, so most ticks conclude
     /// "everything finite" without a per-lane scan.
-    fn count_nonfinite(&mut self) -> usize {
+    pub fn nonfinite_lanes(&mut self) -> usize {
         let sc = &mut self.scratch;
         sc.tol.clear();
         sc.tol.resize(self.len, 0.0);
@@ -949,6 +988,35 @@ mod tests {
         assert_eq!(steps, 0);
         assert!(batch.set_lane(0, &Vector::zeros(3), &p).is_err());
         assert!(batch.set_lane(0, &x, &Matrix::zeros(3, 3)).is_err());
+    }
+
+    #[test]
+    fn set_lane_sym_matches_set_lane_with_the_mirrored_matrix() {
+        let model = cv2();
+        let mut a = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut b = FleetBatch::<2, 1>::new(&model).unwrap();
+        for batch in [&mut a, &mut b] {
+            batch
+                .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
+                .unwrap();
+            batch.predict_all();
+        }
+        let p = Matrix::from_rows(&[&[0.5, -0.0], &[-0.0, 0.25]]);
+        a.set_lane(0, &Vector::from_slice(&[3.0, -1.0]), &p)
+            .unwrap();
+        b.set_lane_sym(0, &[3.0, -1.0], &[0.5, -0.0, 0.25]).unwrap();
+        let (xa, pa, sa) = a.lane_state(0);
+        let (xb, pb, sb) = b.lane_state(0);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(xa, xb);
+        assert_eq!(bits(&pa), bits(&pb), "-0.0 survives the mirror");
+        assert_eq!((sa, sb), (0, 0));
+        assert!(b.set_lane_sym(0, &[1.0], &[0.5, 0.0, 0.25]).is_err());
+        assert!(b.set_lane_sym(0, &[1.0, 2.0], &[0.5, 0.0]).is_err());
+        b.set_lane_sym(0, &[f64::NAN, 0.0], &[1.0, 0.0, 1.0])
+            .unwrap();
+        assert_eq!(b.nonfinite_lanes(), 1);
+        assert_eq!(a.nonfinite_lanes(), 0);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The batch kernels are const-generic, but stream dimensions arrive at
 //! runtime (from wire-decoded models). [`DynFleetBatch`] closes the gap: an
 //! enum with one variant per supported `(state_dim, measurement_dim)` pair —
-//! the workspace's dominant shapes, state ∈ {2, 4, 8} × measurement
+//! the workspace's dominant shapes, state ∈ {1, 2, 4, 8} × measurement
 //! ∈ {1, 2, 3, 4} (measurement ≤ state) — each wrapping the matching
-//! `FleetBatch<N, M>`. Dispatch happens once per *batch operation*, not per
+//! `FleetBatch<N, M>`. The `(1, 1)` shape is the default scalar session's
+//! random walk, the most common stream in every fleet. Dispatch happens once per *batch operation*, not per
 //! lane, so the enum match is amortized over thousands of streams.
 //!
 //! Streams whose dimensions fall outside the table (or whose filters use a
@@ -23,6 +24,7 @@ use crate::{FleetBatch, Result, StateModel};
 macro_rules! for_each_shape {
     ($mac:ident) => {
         $mac! {
+            (B1x1, 1, 1),
             (B2x1, 2, 1), (B2x2, 2, 2),
             (B4x1, 4, 1), (B4x2, 4, 2), (B4x3, 4, 3), (B4x4, 4, 4),
             (B8x1, 8, 1), (B8x2, 8, 2), (B8x3, 8, 3), (B8x4, 8, 4)
@@ -51,6 +53,7 @@ for_each_shape!(define_enum);
 macro_rules! delegate {
     ($self:ident, $batch:ident => $body:expr) => {
         match $self {
+            DynFleetBatch::B1x1($batch) => $body,
             DynFleetBatch::B2x1($batch) => $body,
             DynFleetBatch::B2x2($batch) => $body,
             DynFleetBatch::B4x1($batch) => $body,
@@ -157,6 +160,21 @@ impl DynFleetBatch {
         delegate!(self, b => b.set_lane(lane, x, p))
     }
 
+    /// Overwrites a lane from a state slice and the row-major upper triangle
+    /// of a symmetric covariance; see [`FleetBatch::set_lane_sym`].
+    ///
+    /// # Errors
+    /// [`crate::FilterError::BadModel`] on length mismatch.
+    pub fn set_lane_sym(&mut self, lane: usize, x: &[f64], p_upper: &[f64]) -> Result<()> {
+        delegate!(self, b => b.set_lane_sym(lane, x, p_upper))
+    }
+
+    /// Number of lanes whose state or covariance is non-finite; see
+    /// [`FleetBatch::nonfinite_lanes`].
+    pub fn nonfinite_lanes(&mut self) -> usize {
+        delegate!(self, b => b.nonfinite_lanes())
+    }
+
     /// Gathers a lane back into dynamic values; see
     /// [`FleetBatch::lane_state`].
     pub fn lane_state(&self, lane: usize) -> (Vector, Matrix, u64) {
@@ -208,7 +226,7 @@ mod tests {
     fn shape_table_matches_supported() {
         for n in 0..10 {
             for m in 0..6 {
-                let expect = matches!(n, 2 | 4 | 8) && (1..=4).contains(&m) && m <= n;
+                let expect = matches!(n, 1 | 2 | 4 | 8) && (1..=4).contains(&m) && m <= n;
                 assert_eq!(DynFleetBatch::supported(n, m), expect, "({n}, {m})");
             }
         }
@@ -221,6 +239,10 @@ mod tests {
         assert!(matches!(batch, DynFleetBatch::B2x1(_)));
         assert_eq!(batch.state_dim(), 2);
         assert_eq!(batch.measurement_dim(), 1);
+        let walk = models::random_walk(0.01, 0.25); // (1, 1)
+        let batch = DynFleetBatch::for_model(&walk).unwrap();
+        assert!(matches!(batch, DynFleetBatch::B1x1(_)));
+        assert_eq!((batch.state_dim(), batch.measurement_dim()), (1, 1));
         let ca = models::constant_acceleration(1.0, 0.05, 0.1); // (3, 1)
         assert!(DynFleetBatch::for_model(&ca).is_none());
     }

@@ -67,8 +67,6 @@ pub const FEEDBACK_QUEUE_DEPTH: usize = 256;
 pub struct NetServerConfig {
     /// Shard workers for the ingest pipeline.
     pub shards: usize,
-    /// Step eligible endpoints through the fleet-batch engine.
-    pub batched: bool,
     /// Connections to admit before the first tick barrier (and to expect
     /// before finishing). The lockstep tick discipline needs the full
     /// fleet present from tick 0.
@@ -118,7 +116,6 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             shards: 1,
-            batched: false,
             expected_conns: 1,
             lockstep: true,
             max_hello_streams: MAX_HELLO_STREAMS,
@@ -453,7 +450,7 @@ async fn serve(
                 None => (endpoints, 0),
             };
             let (mut pipeline, fb_rx) =
-                IngestPipeline::start_with_feedback(config.shards, initial, config.batched);
+                IngestPipeline::start_with_feedback(config.shards, initial, true);
             if let Some(rec) = &recovery {
                 rec.replay_into(&mut pipeline);
                 pipeline.flush();
@@ -481,7 +478,7 @@ async fn serve(
         }
         None => {
             let (pipeline, fb_rx) =
-                IngestPipeline::start_with_feedback(config.shards, endpoints, config.batched);
+                IngestPipeline::start_with_feedback(config.shards, endpoints, true);
             let ingester = match &config.elastic {
                 Some(elastic_config) => {
                     Ingester::Elastic(ElasticIngest::new(pipeline, elastic_config.clone()))

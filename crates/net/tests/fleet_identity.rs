@@ -28,11 +28,8 @@ fn over_tcp(
     faults: LinkFaults,
     lockstep: bool,
     shards: usize,
-    batched: bool,
 ) -> kalstream_net::NetReport {
-    over_tcp_inner(
-        streams, conns, ticks, faults, lockstep, shards, batched, None,
-    )
+    over_tcp_inner(streams, conns, ticks, faults, lockstep, shards, None)
 }
 
 /// [`over_tcp`] with sequenced syncs + ack feedback enabled, lockstep.
@@ -49,7 +46,6 @@ fn over_tcp_acked(
         LinkFaults::default(),
         true,
         2,
-        false,
         Some(ack_timeout),
     )
 }
@@ -62,7 +58,6 @@ fn over_tcp_inner(
     faults: LinkFaults,
     lockstep: bool,
     shards: usize,
-    batched: bool,
     ack_timeout: Option<u64>,
 ) -> kalstream_net::NetReport {
     assert_eq!(streams as usize % conns, 0);
@@ -76,7 +71,6 @@ fn over_tcp_inner(
         endpoints,
         NetServerConfig {
             shards,
-            batched,
             expected_conns: conns,
             lockstep,
             ..NetServerConfig::default()
@@ -131,8 +125,8 @@ fn assert_clean_and_identical(report: &kalstream_net::NetReport, reference: &Ing
 #[test]
 fn reliable_fleet_over_tcp_is_bit_identical_to_sim() {
     let reference = reference(12, 50, LinkFaults::default());
-    for (lockstep, shards, batched) in [(true, 3, false), (false, 3, false), (false, 2, true)] {
-        let report = over_tcp(12, 4, 50, LinkFaults::default(), lockstep, shards, batched);
+    for (lockstep, shards) in [(true, 3), (false, 3), (false, 2)] {
+        let report = over_tcp(12, 4, 50, LinkFaults::default(), lockstep, shards);
         assert_clean_and_identical(&report, &reference);
         assert_eq!(report.ticks, 50);
     }
@@ -149,7 +143,7 @@ fn lossy_fleet_over_tcp_is_bit_identical_to_sim() {
     };
     let reference = reference(12, 80, faults);
     for lockstep in [true, false] {
-        let report = over_tcp(12, 3, 80, faults, lockstep, 3, false);
+        let report = over_tcp(12, 3, 80, faults, lockstep, 3);
         assert_clean_and_identical(&report, &reference);
     }
 }

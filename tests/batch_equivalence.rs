@@ -219,8 +219,132 @@ fn assert_three_way<const N: usize, const M: usize>(
     Ok(())
 }
 
+/// The per-lane ingest primitives against a scalar twin per lane: every
+/// tick predicts the fleet, then each lane takes a seeded sporadic op —
+/// `set_lane`, `set_lane_sym`, `update_lane`, or a NaN poison healed by a
+/// later state sync in the same tick. Half-way through, the last lane is
+/// demoted (gathered with `lane_state`, handed to `KalmanFilter::restore`)
+/// and keeps stepping scalar. Every finite lane must match its twin bit for
+/// bit after every tick; the demoted filter must match to the end.
+fn assert_lane_ops<const N: usize, const M: usize>(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = Rng64::new(seed);
+    let model = random_model(&mut rng, N, M);
+    let mut batch = FleetBatch::<N, M>::new(&model).expect("batch");
+    let mut twins = Vec::with_capacity(LANES);
+    for _ in 0..LANES {
+        let x0 = Vector::from_slice(&std::array::from_fn::<f64, N, _>(|_| rng.range(-5.0, 5.0)));
+        let p0 = Matrix::scalar(N, rng.range(0.5, 2.0));
+        batch.push(&x0, &p0, 0).expect("lane");
+        twins.push(KalmanFilter::with_covariance(model.clone(), x0, p0).expect("kf"));
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut demoted: Option<KalmanFilter> = None;
+    let mut updates = 0u64;
+    for t in 0..TICKS {
+        if t == TICKS / 2 {
+            // Demotion: the last lane leaves the batch (nothing moves).
+            let lane = batch.len() - 1;
+            let (x, p, steps) = batch.lane_state(lane);
+            let mut kf =
+                KalmanFilter::with_covariance(model.clone(), x.clone(), p.clone()).expect("kf");
+            kf.restore(x, p, steps).expect("restore");
+            prop_assert_eq!(batch.swap_remove_lane(lane), None);
+            demoted = Some(kf);
+        }
+        prop_assert_eq!(
+            batch.predict_all(),
+            0,
+            "finite lanes stay finite, tick {}",
+            t
+        );
+        for kf in twins.iter_mut() {
+            kf.predict().expect("predict");
+        }
+        if let Some(kf) = demoted.as_mut() {
+            kf.predict().expect("predict");
+        }
+        for lane in 0..batch.len() {
+            let kf = &mut twins[lane];
+            let x = Vector::from_slice(&std::array::from_fn::<f64, N, _>(|_| rng.range(-5.0, 5.0)));
+            let p = Matrix::scalar(N, rng.range(0.1, 2.0));
+            match (rng.next_f64() * 5.0) as u32 {
+                0 => {
+                    batch.set_lane(lane, &x, &p).expect("set_lane");
+                    kf.set_state(x, p).expect("set_state");
+                }
+                1 => {
+                    let upper: Vec<f64> = (0..N)
+                        .flat_map(|r| (r..N).map(move |c| (r, c)))
+                        .map(|(r, c)| p.get(r, c))
+                        .collect();
+                    batch
+                        .set_lane_sym(lane, x.as_slice(), &upper)
+                        .expect("set_lane_sym");
+                    kf.set_state(x, p).expect("set_state");
+                }
+                2 => {
+                    let z = Vector::from_slice(&std::array::from_fn::<f64, M, _>(|_| {
+                        rng.range(-10.0, 10.0)
+                    }));
+                    let (a, b) = (batch.update_lane(lane, &z), kf.update(&z));
+                    prop_assert_eq!(a.is_ok(), b.is_ok(), "update verdict tick {}", t);
+                    updates += 1;
+                }
+                3 => {
+                    // Poison, then heal within the tick.
+                    let mut nan = x.clone();
+                    nan[0] = f64::NAN;
+                    batch.set_lane(lane, &nan, &p).expect("poison");
+                    kf.set_state(nan, p.clone()).expect("poison");
+                    prop_assert!(!batch.lane_is_finite(lane));
+                    prop_assert_eq!(batch.nonfinite_lanes(), 1);
+                    batch.set_lane(lane, &x, &p).expect("heal");
+                    kf.set_state(x, p).expect("heal");
+                }
+                _ => {}
+            }
+            let (bx, bp, steps) = batch.lane_state(lane);
+            prop_assert_eq!(
+                bits(bx.as_slice()),
+                bits(kf.state().as_slice()),
+                "x lane {} tick {}",
+                lane,
+                t
+            );
+            prop_assert_eq!(
+                bits(bp.as_slice()),
+                bits(kf.covariance().as_slice()),
+                "P lane {} tick {}",
+                lane,
+                t
+            );
+            prop_assert_eq!(steps, kf.steps_since_update());
+        }
+    }
+    let kf = demoted.expect("demoted half-way");
+    let twin = &twins[LANES - 1];
+    prop_assert_eq!(bits(kf.state().as_slice()), bits(twin.state().as_slice()));
+    prop_assert_eq!(
+        bits(kf.covariance().as_slice()),
+        bits(twin.covariance().as_slice())
+    );
+    prop_assert_eq!(kf.steps_since_update(), twin.steps_since_update());
+    prop_assert!(updates > 0, "no update_lane exercised");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn dims_1x1(seed in any::<u64>(), delta in 0.01..2.0f64) {
+        assert_three_way::<1, 1>(seed, delta)?;
+    }
+
+    #[test]
+    fn lane_ops_1x1(seed in any::<u64>()) {
+        assert_lane_ops::<1, 1>(seed)?;
+    }
 
     #[test]
     fn dims_2x1(seed in any::<u64>(), delta in 0.01..2.0f64) {

@@ -81,18 +81,6 @@ fn record_traffic(streams: u32, ticks: u64) -> Vec<Vec<u8>> {
     recorder.ticks
 }
 
-fn pipeline_for(
-    shards: usize,
-    batched: bool,
-    endpoints: Vec<(u32, ServerEndpoint)>,
-) -> IngestPipeline {
-    if batched {
-        IngestPipeline::start_batched(shards, endpoints)
-    } else {
-        IngestPipeline::start(shards, endpoints)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -103,7 +91,6 @@ proptest! {
     fn kill_at_arbitrary_tick_recovers_bit_identically(
         streams in 2u32..8,
         shards in 1usize..4,
-        batched in any::<bool>(),
         snapshot_every in 1u64..9,
         kill_frac in 0.0..1.0f64,
         recover_shards in 1usize..4,
@@ -123,7 +110,7 @@ proptest! {
         // no finish, no final snapshot).
         let dir = tempdir("kill_arbitrary");
         let store = DurableStore::open(&dir).unwrap();
-        let pipeline = pipeline_for(shards, batched, workload::server_endpoints(streams));
+        let pipeline = IngestPipeline::start(shards, workload::server_endpoints(streams));
         let mut durable = DurableIngest::new(pipeline, store, snapshot_every).unwrap();
         for wire in &traffic[..kill as usize] {
             durable.try_ingest_tick(wire).unwrap();
@@ -134,7 +121,7 @@ proptest! {
         let mut store = DurableStore::open(&dir).unwrap();
         let recovery = store.recover().unwrap().expect("genesis snapshot exists");
         prop_assert_eq!(recovery.next_tick(), kill);
-        let mut recovered = pipeline_for(recover_shards, batched, recovery.endpoints().unwrap());
+        let mut recovered = IngestPipeline::start(recover_shards, recovery.endpoints().unwrap());
         recovery.replay_into(&mut recovered);
         let mut resumed = DurableIngest::resume(recovered, store, snapshot_every, kill).unwrap();
         for wire in &traffic[kill as usize..] {
