@@ -73,6 +73,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, DynFleetBatch, KalmanFilter};
+use kalstream_linalg::{Matrix, Vector};
 
 use crate::frame::{Frame, FrameDecoder};
 use crate::server::{EndpointState, ServerEndpoint, PENDING_CAP};
@@ -146,6 +147,8 @@ fn apply_state_body(
 /// [`crate::SequentialIngest`].
 pub(crate) struct BatchShardEngine {
     slots: HashMap<u32, Slot>,
+    /// Every stream id, ascending — the order snapshots are taken in.
+    ids: Vec<u32>,
     groups: Vec<BatchGroup>,
     /// Scalar-routed ids in ascending order, maintained across demotions.
     scalar_ids: Vec<u32>,
@@ -164,6 +167,7 @@ impl BatchShardEngine {
     pub(crate) fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
         let mut engine = BatchShardEngine {
             slots: HashMap::with_capacity(endpoints.len()),
+            ids: endpoints.iter().map(|(id, _)| *id).collect(),
             groups: Vec::new(),
             scalar_ids: Vec::new(),
             carried: Vec::new(),
@@ -219,6 +223,7 @@ impl BatchShardEngine {
                 },
             );
         }
+        engine.ids.sort_unstable();
         engine.scalar_ids.sort_unstable();
         engine.carried.sort_unstable();
         engine
@@ -479,29 +484,48 @@ impl BatchShardEngine {
         self.due.clear();
     }
 
-    /// Captures every endpoint's protocol state, sorted by stream id,
-    /// without consuming the engine — the durability layer's mid-run
-    /// snapshot hook. A batched stream's live `x`/`p`/staleness sit on its
-    /// lane, so its captured state is the endpoint's bookkeeping overlaid
-    /// with the lane's triplet — exactly the bits
-    /// [`BatchShardEngine::finish`] would restore, copied instead of moved.
+    /// Captures every endpoint's protocol state in ascending stream id
+    /// order, without consuming the engine. A batched stream's live
+    /// `x`/`p`/staleness sit on its lane, so its captured state is the
+    /// endpoint's bookkeeping overlaid with the lane's triplet — exactly the
+    /// bits [`BatchShardEngine::finish`] would restore, copied instead of
+    /// moved.
     pub(crate) fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
-        let mut states: Vec<(u32, EndpointState)> = self
-            .slots
+        self.ids
             .iter()
-            .map(|(id, slot)| {
+            .map(|id| {
+                let slot = &self.slots[id];
                 let mut state = slot.ep.state();
-                if let Route::Lane { group, lane } = slot.route {
-                    let (x, p, steps) = self.groups[group].batch.lane_state(lane);
+                if let Some((x, p, steps)) = self.lane_triplet(slot) {
                     state.x = x;
                     state.p = p;
                     state.steps_since_update = steps;
                 }
                 (*id, state)
             })
-            .collect();
-        states.sort_by_key(|(id, _)| *id);
-        states
+            .collect()
+    }
+
+    /// Every endpoint's snapshot record in ascending stream id order — the
+    /// bytes [`EndpointState::encode_record`] writes for
+    /// [`BatchShardEngine::snapshot_states`], encoded straight from the
+    /// endpoints and their lanes.
+    pub(crate) fn snapshot_records(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        for id in &self.ids {
+            let slot = &self.slots[id];
+            slot.ep
+                .encode_record(*id, self.lane_triplet(slot).as_ref(), &mut out);
+        }
+        out
+    }
+
+    /// A batched stream's `(x, p, steps_since_update)`, read off its lane.
+    fn lane_triplet(&self, slot: &Slot) -> Option<(Vector, Matrix, u64)> {
+        match slot.route {
+            Route::Lane { group, lane } => Some(self.groups[group].batch.lane_state(lane)),
+            Route::Scalar => None,
+        }
     }
 
     /// Hands every remaining lane's state back to its endpoint filter and

@@ -134,6 +134,10 @@ enum ShardJob {
     /// the tick boundary where the job was enqueued — the durability
     /// layer's snapshot barrier, without stopping the other shards.
     Snapshot(Sender<Vec<(u32, EndpointState)>>),
+    /// Like `Snapshot`, but the shard encodes its endpoints' snapshot
+    /// records (ascending id) and sends the bytes back — the shards encode
+    /// in parallel, the router only merges bytes.
+    Records(Sender<Vec<u8>>),
 }
 
 /// What one shard worker did, reported at [`IngestPipeline::finish`].
@@ -358,7 +362,7 @@ impl IngestPipeline {
         assert!(shards > 0, "ingest needs at least one shard");
         let (recycle_tx, recycle_rx) = unbounded();
         let (handles, coverage) = spawn_workers(assignment, endpoints, &feedback, &recycle_tx);
-        IngestPipeline {
+        let pipe = IngestPipeline {
             shards: handles,
             batches: (0..shards).map(|_| FrameBatch::new()).collect(),
             pool: BufferPool::new(),
@@ -371,7 +375,9 @@ impl IngestPipeline {
             outstanding: 0,
             high_water: 0,
             coverage,
-        }
+        };
+        pipe.presize_recycle();
+        pipe
     }
 
     /// `(batched, scalar)` stream counts across shards when the workers
@@ -399,11 +405,7 @@ impl IngestPipeline {
     /// grown to the high-water size on arrival, so the pool never holds an
     /// undersized straggler for a later, busier tick to regrow.
     fn next_buffer(&mut self) -> BytesMut {
-        while let Ok(mut buf) = self.recycle_rx.try_recv() {
-            buf.clear();
-            buf.reserve(self.high_water);
-            self.pool.put(buf);
-        }
+        self.drain_recycled();
         let mut buf = if !self.pool.is_empty() {
             self.pool.get()
         } else if self.outstanding < self.buffer_cap() {
@@ -416,6 +418,34 @@ impl IngestPipeline {
         };
         buf.reserve(self.high_water);
         buf
+    }
+
+    /// Moves every buffer the shards have handed back into the pool, grown
+    /// to the high-water size.
+    fn drain_recycled(&mut self) {
+        while let Ok(mut buf) = self.recycle_rx.try_recv() {
+            buf.clear();
+            buf.reserve(self.high_water);
+            self.pool.put(buf);
+        }
+    }
+
+    /// Grows the recycle queue's storage, which reallocates whenever the
+    /// queue reaches a new depth, to hold every buffer the shards can hand
+    /// back between two router drains: a full job queue plus the batch
+    /// being applied, per shard, plus one. Without it a rare burst of
+    /// returns allocates on the tick path. Call with the queue empty; the
+    /// unallocated placeholders sent here are dropped at once.
+    fn presize_recycle(&self) {
+        let depth = self.shards.len() * (QUEUE_DEPTH + 1) + 1;
+        for _ in 0..depth {
+            self.recycle_tx
+                .send(BytesMut::new())
+                .expect("the pipeline holds the recycle receiver");
+        }
+        for _ in 0..depth {
+            drop(self.recycle_rx.try_recv());
+        }
     }
 
     /// Number of shards.
@@ -482,10 +512,12 @@ impl IngestPipeline {
             endpoints.extend(result.endpoints);
         }
         endpoints.sort_by_key(|(id, _)| *id);
+        self.drain_recycled();
         let (handles, coverage) = spawn_workers(to, endpoints, &self.feedback, &self.recycle_tx);
         self.shards = handles;
         self.coverage = coverage;
         self.assignment = to;
+        self.presize_recycle();
         // Match the router-side batch set to the new shard count. Shrinks
         // park the spare buffers in the pool (they keep their high-water
         // capacity); grows start empty like at pipeline start.
@@ -565,26 +597,49 @@ impl IngestPipeline {
     /// hook. The snapshot job rides each shard's ordered queue, so the
     /// capture observes exactly the ticks ingested before this call and
     /// none after; the call blocks until every shard has replied (it is a
-    /// flush barrier as a side effect).
+    /// flush barrier as a side effect). Each shard replies in id order and
+    /// the router merges the runs.
     pub fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)> {
-        let replies: Vec<Receiver<Vec<(u32, EndpointState)>>> = self
+        let runs = self.ask_shards(ShardJob::Snapshot);
+        let mut states = Vec::new();
+        merge_by_id(runs.into_iter().map(Vec::into_iter), |id, state| {
+            states.push((id, state))
+        });
+        states
+    }
+
+    /// Appends every endpoint's snapshot record to `out`, ascending by
+    /// stream id, and returns how many — the same barrier as
+    /// [`IngestPipeline::snapshot_states`] and the same bytes as encoding
+    /// its states, but each shard encodes its own records in parallel,
+    /// reading lane state directly, and the router k-way merges the shard
+    /// buffers.
+    pub fn snapshot_records(&mut self, out: &mut Vec<u8>) -> u32 {
+        let runs = self.ask_shards(ShardJob::Records);
+        let mut count = 0;
+        merge_by_id(runs.iter().map(|buf| records(buf)), |_, record| {
+            out.extend_from_slice(record);
+            count += 1;
+        });
+        count
+    }
+
+    /// Sends `job` to every shard's ordered queue and collects the replies
+    /// in shard order — a barrier at the current tick boundary.
+    fn ask_shards<T>(&self, job: fn(Sender<T>) -> ShardJob) -> Vec<T> {
+        let replies: Vec<Receiver<T>> = self
             .shards
             .iter()
             .map(|shard| {
                 let (tx, rx) = bounded(1);
-                shard
-                    .tx
-                    .send(ShardJob::Snapshot(tx))
-                    .expect("ingest shard worker died");
+                shard.tx.send(job(tx)).expect("ingest shard worker died");
                 rx
             })
             .collect();
-        let mut states: Vec<(u32, EndpointState)> = replies
-            .into_iter()
-            .flat_map(|rx| rx.recv().expect("ingest shard worker died"))
-            .collect();
-        states.sort_by_key(|(id, _)| *id);
-        states
+        replies
+            .iter()
+            .map(|rx| rx.recv().expect("ingest shard worker died"))
+            .collect()
     }
 
     /// Flushes, shuts the workers down, and collects their reports and
@@ -654,6 +709,39 @@ fn spawn_workers(
         })
         .collect();
     (handles, coverage)
+}
+
+/// K-way merges runs that are each ascending by stream id (shards own
+/// disjoint ids), handing every item to `emit` in ascending id order.
+fn merge_by_id<T, R: Iterator<Item = (u32, T)>>(
+    runs: impl Iterator<Item = R>,
+    mut emit: impl FnMut(u32, T),
+) {
+    let mut runs: Vec<R> = runs.collect();
+    let mut heads: Vec<Option<(u32, T)>> = runs.iter_mut().map(Iterator::next).collect();
+    while let Some((_, i)) = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, head)| Some((head.as_ref()?.0, i)))
+        .min()
+    {
+        let next = runs[i].next();
+        let (id, item) = std::mem::replace(&mut heads[i], next).expect("picked a live head");
+        emit(id, item);
+    }
+}
+
+/// Splits a buffer of well-formed snapshot records (`id | len | body`, as
+/// a shard encodes them) into `(id, whole record)` pairs.
+fn records(mut buf: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
+    std::iter::from_fn(move || {
+        let header = buf.get(..8)?;
+        let id = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
+        let (record, rest) = buf.split_at(8 + len);
+        buf = rest;
+        Some((id, record))
+    })
 }
 
 /// On-CPU nanoseconds of the calling thread so far — field 1 of
@@ -726,6 +814,11 @@ fn shard_worker(
             ShardJob::Snapshot(reply) => {
                 reply
                     .send(engine.snapshot_states())
+                    .expect("ingest pipeline dropped its snapshot receiver");
+            }
+            ShardJob::Records(reply) => {
+                reply
+                    .send(engine.snapshot_records())
                     .expect("ingest pipeline dropped its snapshot receiver");
             }
         }
@@ -890,11 +983,29 @@ pub trait SnapshotSource {
     /// sorted by stream id. For the sharded pipeline this is also a flush
     /// barrier.
     fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)>;
+
+    /// Appends every endpoint's snapshot record (`id | len | body`, see
+    /// [`EndpointState::encode_record`]) to `out` in ascending id order at
+    /// the current tick boundary, and returns how many — the body of a
+    /// durability snapshot. The provided method encodes
+    /// [`SnapshotSource::snapshot_states`]; implementations may encode
+    /// straight from live state, but must write the same bytes.
+    fn snapshot_records(&mut self, out: &mut Vec<u8>) -> u32 {
+        let states = self.snapshot_states();
+        for (id, state) in &states {
+            state.encode_record(*id, out);
+        }
+        states.len() as u32
+    }
 }
 
 impl SnapshotSource for IngestPipeline {
     fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)> {
         IngestPipeline::snapshot_states(self)
+    }
+
+    fn snapshot_records(&mut self, out: &mut Vec<u8>) -> u32 {
+        IngestPipeline::snapshot_records(self, out)
     }
 }
 

@@ -2,13 +2,13 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
 use kalstream_linalg::{Matrix, Vector};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
-use crate::wire::{SyncMessage, WireMessage};
+use crate::wire::{self, SyncMessage, WireMessage};
 
 /// Cap on queued-but-unapplied syncs. In every supported driver the queue
 /// drains once per tick, so depth beyond a handful means `receive` is
@@ -260,6 +260,45 @@ impl ServerEndpoint {
         }
     }
 
+    /// Appends this endpoint's snapshot record to `out` — the bytes
+    /// [`EndpointState::encode_record`] writes for [`ServerEndpoint::state`],
+    /// without building that state. `filter` overrides the filter triplet
+    /// `(x, p, steps_since_update)` when it lives elsewhere (a fleet-batch
+    /// lane); the model and covariance-update mode are always the
+    /// endpoint's own.
+    pub(crate) fn encode_record(
+        &self,
+        id: u32,
+        filter: Option<&(Vector, Matrix, u64)>,
+        out: &mut Vec<u8>,
+    ) {
+        let (x, p, steps_since_update) = match filter {
+            Some((x, p, steps)) => (x, p, *steps),
+            None => (
+                self.filter.state(),
+                self.filter.covariance(),
+                self.filter.steps_since_update(),
+            ),
+        };
+        StateRecord {
+            model: self.filter.model(),
+            x,
+            p,
+            steps_since_update,
+            cov_update: self.filter.covariance_update(),
+            pending: self.pending.iter(),
+            syncs_applied: self.syncs_applied.get(),
+            decode_failures: self.decode_failures.get(),
+            predict_failures: self.predict_failures.get(),
+            last_seq: self.last_seq,
+            ack_due: self.ack_due,
+            bound_due: self.bound_due,
+            bounds_sent: self.bounds_sent.get(),
+            delivery: self.delivery,
+        }
+        .encode(id, out);
+    }
+
     /// Rebuilds an endpoint from a captured [`EndpointState`] — the
     /// recovery half of the snapshot roundtrip. The filter is reconstructed
     /// through [`KalmanFilter::with_covariance`] + [`KalmanFilter::restore`],
@@ -334,8 +373,10 @@ impl ServerEndpoint {
 
 /// The complete externalised state of one [`ServerEndpoint`] — the value a
 /// durability snapshot records and crash recovery replays from. Fields are
-/// public: the encoding lives in `kalstream-durable`, outside this crate,
-/// and the struct itself is the compatibility contract between them.
+/// public: the record encoder ([`EndpointState::encode_record`]) lives
+/// here, next to the live-endpoint encoder that must match it byte for
+/// byte, while the decoder lives in `kalstream-durable`; the struct is the
+/// compatibility contract between them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointState {
     /// The cached model (including adapted `Q`/`R`).
@@ -368,6 +409,96 @@ pub struct EndpointState {
     pub bounds_sent: u64,
     /// Receiver-side delivery accounting (stale drops, gaps, shed).
     pub delivery: DeliveryStats,
+}
+
+impl EndpointState {
+    /// Appends this state's snapshot record, `stream_id:u32 | body_len:u32
+    /// | body`, to `out` — the unit a durability snapshot is made of (see
+    /// `kalstream_durable::snapshot` for the body layout and its decoder).
+    pub fn encode_record(&self, id: u32, out: &mut Vec<u8>) {
+        StateRecord {
+            model: &self.model,
+            x: &self.x,
+            p: &self.p,
+            steps_since_update: self.steps_since_update,
+            cov_update: self.cov_update,
+            pending: self.pending.iter(),
+            syncs_applied: self.syncs_applied,
+            decode_failures: self.decode_failures,
+            predict_failures: self.predict_failures,
+            last_seq: self.last_seq,
+            ack_due: self.ack_due,
+            bound_due: self.bound_due,
+            bounds_sent: self.bounds_sent,
+            delivery: self.delivery,
+        }
+        .encode(id, out);
+    }
+}
+
+/// The fields of one snapshot record, borrowed from wherever they live —
+/// an [`EndpointState`], or a live [`ServerEndpoint`] whose filter triplet
+/// may sit on a fleet-batch lane. [`StateRecord::encode`] is the one
+/// snapshot record encoder.
+struct StateRecord<'a, P> {
+    model: &'a StateModel,
+    x: &'a Vector,
+    p: &'a Matrix,
+    steps_since_update: u64,
+    cov_update: CovarianceUpdate,
+    pending: P,
+    syncs_applied: u64,
+    decode_failures: u64,
+    predict_failures: u64,
+    last_seq: u64,
+    ack_due: bool,
+    bound_due: Option<f64>,
+    bounds_sent: u64,
+    delivery: DeliveryStats,
+}
+
+impl<'a, P: ExactSizeIterator<Item = &'a SyncMessage>> StateRecord<'a, P> {
+    /// Appends `id | body_len | body`. The filter triplet travels as a
+    /// wire-v3 `Model` sync written from the references; pending syncs as
+    /// length-prefixed wire bodies.
+    fn encode(self, id: u32, out: &mut Vec<u8>) {
+        out.put_u32_le(id);
+        len_prefixed(out, |out| {
+            len_prefixed(out, |out| {
+                wire::encode_model_into(out, self.model, self.x, self.p)
+            });
+            out.put_u64_le(self.steps_since_update);
+            out.put_u8(match self.cov_update {
+                CovarianceUpdate::Joseph => 0,
+                CovarianceUpdate::Simple => 1,
+            });
+            out.put_u64_le(self.last_seq);
+            out.put_u8(u8::from(self.ack_due));
+            out.put_u8(u8::from(self.bound_due.is_some()));
+            out.put_u64_le(self.bound_due.map_or(0, f64::to_bits));
+            out.put_u64_le(self.syncs_applied);
+            out.put_u64_le(self.decode_failures);
+            out.put_u64_le(self.predict_failures);
+            out.put_u64_le(self.bounds_sent);
+            out.put_u64_le(self.delivery.stale_drops);
+            out.put_u64_le(self.delivery.seq_gaps);
+            out.put_u64_le(self.delivery.shed);
+            out.put_u32_le(self.pending.len() as u32);
+            for msg in self.pending {
+                len_prefixed(out, |out| msg.encode_into(out));
+            }
+        });
+    }
+}
+
+/// Writes a `len:u32` placeholder, runs `write`, then patches in the number
+/// of bytes it appended.
+fn len_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    write(out);
+    let len = out.len() - at - 4;
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Applies a sync to a filter, returning whether it was accepted. Free

@@ -111,35 +111,14 @@ impl SyncMessage {
     /// frame layer batches through (mirroring the `_into` convention of the
     /// linear-algebra kernels). Exactly [`SyncMessage::encoded_len`] bytes
     /// are written.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             SyncMessage::State { x, p } => {
                 buf.put_u8(TAG_STATE);
                 put_vec(buf, x);
                 put_upper_triangle(buf, p);
             }
-            SyncMessage::Model { model, x, p } => {
-                buf.put_u8(TAG_MODEL);
-                let name = model.name().as_bytes();
-                buf.put_u16_le(name.len() as u16);
-                buf.put_slice(name);
-                let f_tri = is_upper_triangular(model.f());
-                buf.put_u8(if f_tri { FLAG_F_UPPER_TRIANGULAR } else { 0 });
-                buf.put_u16_le(model.state_dim() as u16);
-                buf.put_u16_le(model.measurement_dim() as u16);
-                if f_tri {
-                    put_upper_triangle(buf, model.f());
-                } else {
-                    put_full(buf, model.f());
-                }
-                put_upper_triangle(buf, model.q());
-                put_full(buf, model.h());
-                put_upper_triangle(buf, model.r());
-                for &v in x.iter() {
-                    buf.put_f64_le(v);
-                }
-                put_upper_triangle(buf, p);
-            }
+            SyncMessage::Model { model, x, p } => encode_model_into(buf, model, x, p),
             SyncMessage::Measurement { z } => {
                 buf.put_u8(TAG_MEASUREMENT);
                 put_vec(buf, z);
@@ -251,6 +230,38 @@ impl SyncMessage {
     }
 }
 
+/// Appends a `Model` sync body for `(model, x, p)` to `buf` — exactly the
+/// bytes [`SyncMessage::Model`] encodes to, written from references, so a
+/// caller holding the triplet (a snapshot of a live endpoint) need not
+/// clone it into a message first.
+pub(crate) fn encode_model_into<B: BufMut>(
+    buf: &mut B,
+    model: &StateModel,
+    x: &Vector,
+    p: &Matrix,
+) {
+    buf.put_u8(TAG_MODEL);
+    let name = model.name().as_bytes();
+    buf.put_u16_le(name.len() as u16);
+    buf.put_slice(name);
+    let f_tri = is_upper_triangular(model.f());
+    buf.put_u8(if f_tri { FLAG_F_UPPER_TRIANGULAR } else { 0 });
+    buf.put_u16_le(model.state_dim() as u16);
+    buf.put_u16_le(model.measurement_dim() as u16);
+    if f_tri {
+        put_upper_triangle(buf, model.f());
+    } else {
+        put_full(buf, model.f());
+    }
+    put_upper_triangle(buf, model.q());
+    put_full(buf, model.h());
+    put_upper_triangle(buf, model.r());
+    for &v in x.iter() {
+        buf.put_f64_le(v);
+    }
+    put_upper_triangle(buf, p);
+}
+
 /// A v3 wire message: everything that can travel on a link.
 ///
 /// The loss-tolerant delivery layer wraps sync messages in an optional
@@ -305,7 +316,7 @@ impl WireMessage {
 
     /// Appends the wire encoding to `buf`. Exactly
     /// [`WireMessage::encoded_len`] bytes are written.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             WireMessage::Sync { seq: None, msg } => msg.encode_into(buf),
             WireMessage::Sync {
@@ -428,7 +439,7 @@ fn vec_len(v: &Vector) -> usize {
     4 + 8 * v.dim()
 }
 
-fn put_vec(buf: &mut BytesMut, v: &Vector) {
+fn put_vec<B: BufMut>(buf: &mut B, v: &Vector) {
     buf.put_u32_le(v.dim() as u32);
     for &x in v.iter() {
         buf.put_f64_le(x);
@@ -437,7 +448,7 @@ fn put_vec(buf: &mut BytesMut, v: &Vector) {
 
 /// Writes the upper triangle of a square matrix, row-major
 /// (row `i` contributes columns `i..n`).
-fn put_upper_triangle(buf: &mut BytesMut, m: &Matrix) {
+fn put_upper_triangle<B: BufMut>(buf: &mut B, m: &Matrix) {
     debug_assert!(m.is_square());
     let n = m.rows();
     for r in 0..n {
@@ -448,7 +459,7 @@ fn put_upper_triangle(buf: &mut BytesMut, m: &Matrix) {
 }
 
 /// Writes a full matrix row-major, without a dimension header.
-fn put_full(buf: &mut BytesMut, m: &Matrix) {
+fn put_full<B: BufMut>(buf: &mut B, m: &Matrix) {
     for &x in m.as_slice() {
         buf.put_f64_le(x);
     }

@@ -23,6 +23,8 @@ pub struct DurableIngest<I: TickIngest + SnapshotSource> {
     store: DurableStore,
     snapshot_every: u64,
     ticks_applied: u64,
+    /// Snapshot records, reused from one barrier to the next.
+    records: Vec<u8>,
 }
 
 impl<I: TickIngest + SnapshotSource> DurableIngest<I> {
@@ -44,20 +46,21 @@ impl<I: TickIngest + SnapshotSource> DurableIngest<I> {
     /// # Errors
     /// Propagates store I/O errors.
     pub fn resume(
-        mut inner: I,
-        mut store: DurableStore,
+        inner: I,
+        store: DurableStore,
         snapshot_every: u64,
         ticks_applied: u64,
     ) -> io::Result<Self> {
         assert!(snapshot_every >= 1, "snapshot cadence must be at least 1");
-        let states = inner.snapshot_states();
-        store.write_snapshot(ticks_applied, &states)?;
-        Ok(DurableIngest {
+        let mut durable = DurableIngest {
             inner,
             store,
             snapshot_every,
             ticks_applied,
-        })
+            records: Vec::new(),
+        };
+        durable.checkpoint()?;
+        Ok(durable)
     }
 
     /// Appends the tick to the WAL, applies it, and snapshots when the
@@ -71,20 +74,23 @@ impl<I: TickIngest + SnapshotSource> DurableIngest<I> {
         self.inner.ingest_tick(wire);
         self.ticks_applied += 1;
         if self.ticks_applied.is_multiple_of(self.snapshot_every) {
-            let states = self.inner.snapshot_states();
-            self.store.write_snapshot(self.ticks_applied, &states)?;
+            self.checkpoint()?;
         }
         Ok(())
     }
 
     /// Writes a snapshot at the current barrier regardless of cadence — a
-    /// clean shutdown checkpoints so the next start replays nothing.
+    /// clean shutdown checkpoints so the next start replays nothing. The
+    /// inner ingester encodes the records
+    /// ([`SnapshotSource::snapshot_records`]); the store frames them.
     ///
     /// # Errors
     /// Propagates store I/O errors.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        let states = self.inner.snapshot_states();
-        self.store.write_snapshot(self.ticks_applied, &states)
+        self.records.clear();
+        let count = self.inner.snapshot_records(&mut self.records);
+        self.store
+            .write_snapshot(self.ticks_applied, count, &self.records)
     }
 
     /// Ticks applied through this wrapper (including any pre-resume count).
@@ -144,6 +150,10 @@ impl<I: TickIngest + SnapshotSource> TickIngest for DurableIngest<I> {
 impl<I: TickIngest + SnapshotSource> SnapshotSource for DurableIngest<I> {
     fn snapshot_states(&mut self) -> Vec<(u32, kalstream_core::EndpointState)> {
         self.inner.snapshot_states()
+    }
+
+    fn snapshot_records(&mut self, out: &mut Vec<u8>) -> u32 {
+        self.inner.snapshot_records(out)
     }
 }
 

@@ -13,6 +13,8 @@
 //!   at a tick barrier — filter triplet, staleness, pending queue, seq/ack
 //!   tracker, counters. Floats travel as raw bits; the filter triplet
 //!   reuses the wire-v3 `Model` sync encoding, so no second matrix codec.
+//! * **Checksums** ([`crc`]): slicing-by-8 CRC-32 with a streaming form,
+//!   so the WAL checksums `tick || payload` without joining them.
 //! * **WAL** ([`wal`]): one record per tick holding the exact framed batch
 //!   `ingest_tick` consumed, appended *before* apply. Tick barriers
 //!   (already on the wire as `TICK_MARKER_STREAM`) are the segmentation
@@ -35,14 +37,17 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod crc;
 pub mod ingest;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use crc::{crc32, crc32_update};
 pub use ingest::DurableIngest;
 pub use snapshot::{
-    crc32, decode_snapshot, encode_snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, encode_snapshot_records, SnapshotError, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 pub use store::{DurableConfig, DurableStats, DurableStore, Recovery};
 pub use wal::{read_segment, SegmentRead, WalWriter, WAL_MAGIC, WAL_VERSION};

@@ -29,12 +29,21 @@
 //! (triangle-packed symmetric matrices included), so the snapshot format
 //! inherits wire-v3's packing and its tests instead of inventing a second
 //! matrix codec.
+//!
+//! The record encoder lives in `kalstream-core`, next to the state it
+//! encodes ([`EndpointState::encode_record`]): live shards run the same
+//! function over their endpoints and fleet-batch lanes, so the records a
+//! [`kalstream_core::SnapshotSource`] emits are byte-identical to encoding
+//! its captured states. This module frames records into a file
+//! ([`encode_snapshot_records`]) and decodes files.
 
 use bytes::BufMut;
 use kalstream_core::wire::SyncMessage;
 use kalstream_core::EndpointState;
 use kalstream_filter::CovarianceUpdate;
 use kalstream_sim::DeliveryStats;
+
+use crate::crc::crc32;
 
 /// First bytes of every snapshot file ("KalStream Durable v1").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"KSD1";
@@ -78,95 +87,42 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// CRC-32/IEEE (reflected, the zlib/Ethernet polynomial), table-driven.
-/// Hand-rolled because the workspace takes no new dependencies; the
-/// 256-entry table is built once per process.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
-}
+/// Fixed bytes of a snapshot file around its records: magic, version,
+/// reserved, `ticks_applied`, `count`, and the trailing CRC.
+const FRAME_BYTES: usize = 4 + 2 + 2 + 8 + 4 + 4;
 
-fn push_endpoint_state(buf: &mut Vec<u8>, state: &EndpointState) {
-    // The filter triplet as a Model sync — wire-v3 does the heavy lifting.
-    let filter = SyncMessage::Model {
-        model: state.model.clone(),
-        x: state.x.clone(),
-        p: state.p.clone(),
-    }
-    .encode();
-    buf.put_u32_le(filter.len() as u32);
-    buf.put_slice(&filter);
-    buf.put_u64_le(state.steps_since_update);
-    buf.put_u8(match state.cov_update {
-        CovarianceUpdate::Joseph => 0,
-        CovarianceUpdate::Simple => 1,
-    });
-    buf.put_u64_le(state.last_seq);
-    buf.put_u8(u8::from(state.ack_due));
-    match state.bound_due {
-        Some(delta) => {
-            buf.put_u8(1);
-            buf.put_u64_le(delta.to_bits());
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
-    }
-    buf.put_u64_le(state.syncs_applied);
-    buf.put_u64_le(state.decode_failures);
-    buf.put_u64_le(state.predict_failures);
-    buf.put_u64_le(state.bounds_sent);
-    buf.put_u64_le(state.delivery.stale_drops);
-    buf.put_u64_le(state.delivery.seq_gaps);
-    buf.put_u64_le(state.delivery.shed);
-    buf.put_u32_le(state.pending.len() as u32);
-    for msg in &state.pending {
-        let wire = msg.encode();
-        buf.put_u32_le(wire.len() as u32);
-        buf.put_slice(&wire);
-    }
-}
+/// Fewest bytes one record can occupy: its `id | body_len` header plus a
+/// body's fixed fields (an empty filter and no pending syncs). Bounds how
+/// many entries a claimed `count` may pre-allocate.
+const MIN_RECORD_BYTES: usize = 4 + 4 + 4 + 8 + 1 + 8 + 1 + 1 + 8 + 7 * 8 + 4;
 
-/// Encodes one snapshot: the fleet's states as captured at a tick barrier
-/// after `ticks_applied` ticks.
-pub fn encode_snapshot(ticks_applied: u64, states: &[(u32, EndpointState)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + states.len() * 256);
+/// Frames `count` snapshot records — `records` as
+/// [`kalstream_core::SnapshotSource::snapshot_records`] writes them,
+/// ascending by stream id — into one snapshot file taken after
+/// `ticks_applied` ticks.
+pub fn encode_snapshot_records(ticks_applied: u64, count: u32, records: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_BYTES + records.len());
     buf.put_slice(&SNAPSHOT_MAGIC);
     buf.put_u16_le(SNAPSHOT_VERSION);
     buf.put_u16_le(0);
     buf.put_u64_le(ticks_applied);
-    buf.put_u32_le(states.len() as u32);
-    let mut body = Vec::new();
-    for (id, state) in states {
-        body.clear();
-        push_endpoint_state(&mut body, state);
-        buf.put_u32_le(*id);
-        buf.put_u32_le(body.len() as u32);
-        buf.put_slice(&body);
-    }
+    buf.put_u32_le(count);
+    buf.put_slice(records);
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
     buf
+}
+
+/// Encodes one snapshot: the fleet's states as captured at a tick barrier
+/// after `ticks_applied` ticks (the framing of
+/// [`encode_snapshot_records`] over each state's
+/// [`EndpointState::encode_record`]).
+pub fn encode_snapshot(ticks_applied: u64, states: &[(u32, EndpointState)]) -> Vec<u8> {
+    let mut records = Vec::new();
+    for (id, state) in states {
+        state.encode_record(*id, &mut records);
+    }
+    encode_snapshot_records(ticks_applied, states.len() as u32, &records)
 }
 
 /// A little-endian read cursor over a byte slice; every read is
@@ -210,6 +166,10 @@ impl<'a> Cursor<'a> {
     fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
+
+    fn remaining(&self) -> usize {
+        self.buf.len()
+    }
 }
 
 fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotError> {
@@ -248,7 +208,9 @@ fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotEr
         shed: cur.u64()?,
     };
     let pending_count = cur.u32()? as usize;
-    let mut pending = Vec::with_capacity(pending_count.min(1024));
+    // Every pending entry carries at least its 4-byte length: a corrupt
+    // count may not reserve more entries than the bytes left could hold.
+    let mut pending = Vec::with_capacity(pending_count.min(cur.remaining() / 4));
     for _ in 0..pending_count {
         let len = cur.u32()? as usize;
         let wire = cur.take(len)?;
@@ -275,7 +237,7 @@ fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotEr
 /// Decodes a snapshot file, verifying magic, version, structure, and CRC.
 /// Returns `(ticks_applied, states)`.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<(u32, EndpointState)>), SnapshotError> {
-    if bytes.len() < 4 + 2 + 2 + 8 + 4 + 4 {
+    if bytes.len() < FRAME_BYTES {
         return Err(SnapshotError::Truncated);
     }
     if bytes[..4] != SNAPSHOT_MAGIC {
@@ -295,7 +257,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<(u32, EndpointState)>),
     let _reserved = cur.u16()?;
     let ticks_applied = cur.u64()?;
     let count = cur.u32()? as usize;
-    let mut states = Vec::with_capacity(count.min(1 << 16));
+    let mut states = Vec::with_capacity(count.min(cur.remaining() / MIN_RECORD_BYTES));
     for _ in 0..count {
         let id = cur.u32()?;
         let body_len = cur.u32()? as usize;
@@ -398,12 +360,5 @@ mod tests {
         let n = wire.len();
         wire[n - 4..].copy_from_slice(&fixed);
         assert_eq!(decode_snapshot(&wire), Err(SnapshotError::BadVersion(9)));
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard CRC-32/IEEE check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

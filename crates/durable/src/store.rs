@@ -13,9 +13,10 @@
 //!   crashed process applied is therefore always on disk; a torn tail is a
 //!   tick that was never applied and is safely discarded.
 //! * **Rotate-at-snapshot**: writing a snapshot after `T` ticks closes the
-//!   open segment and starts the next one at `T`. Segments therefore map
-//!   1:1 onto inter-snapshot intervals, which is what makes pruning and
-//!   fallback reasoning simple.
+//!   open segment and opens the next one, `wal-T`, at once (empty until
+//!   tick `T` is appended). Segments therefore map 1:1 onto
+//!   inter-snapshot intervals, which is what makes pruning and fallback
+//!   reasoning simple.
 //! * **Snapshots are atomic**: encoded to `*.tmp`, fsynced, then renamed.
 //!   A crash mid-snapshot leaves the previous snapshot authoritative.
 //! * **Retention**: the last two snapshots are kept, plus every segment
@@ -31,7 +32,7 @@ use kalstream_core::{EndpointState, ServerEndpoint, TickIngest};
 use kalstream_filter::FilterError;
 use kalstream_obs::{Counter, Gauge, Instrument, Scope};
 
-use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::snapshot::{decode_snapshot, encode_snapshot_records};
 use crate::wal::{read_segment, WalWriter};
 
 /// Configuration for a durable server: where state lives and how often to
@@ -186,7 +187,8 @@ impl DurableStore {
     }
 
     /// Appends one tick's wire batch, opening a fresh segment if none is
-    /// open (the segment is named after its first tick). Must be called
+    /// open (the segment is named after its first tick; a snapshot opens
+    /// the next one itself). Must be called
     /// *before* the batch is applied — the append-before-apply discipline
     /// is what makes a torn tail harmless.
     pub fn append_tick(&mut self, tick: u64, wire: &[u8]) -> io::Result<()> {
@@ -201,15 +203,19 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Writes a snapshot at the `ticks_applied` barrier: atomic
-    /// (tmp + fsync + rename), then rotates the WAL and prunes files no
+    /// Writes a snapshot at the `ticks_applied` barrier from `count`
+    /// records (as [`kalstream_core::SnapshotSource::snapshot_records`]
+    /// writes them): atomic (tmp + fsync + rename), then rotates the WAL —
+    /// the next segment, named after the barrier, is opened here so the
+    /// ticks after a snapshot append like any other — and prunes files no
     /// retained snapshot needs.
     pub fn write_snapshot(
         &mut self,
         ticks_applied: u64,
-        states: &[(u32, EndpointState)],
+        count: u32,
+        records: &[u8],
     ) -> io::Result<()> {
-        let encoded = encode_snapshot(ticks_applied, states);
+        let encoded = encode_snapshot_records(ticks_applied, count, records);
         let final_path = snap_path(&self.dir, ticks_applied);
         let tmp_path = final_path.with_extension("ks.tmp");
         {
@@ -221,8 +227,11 @@ impl DurableStore {
         std::fs::rename(&tmp_path, &final_path)?;
         self.stats.snapshots_written += 1;
         self.stats.snapshot_bytes += encoded.len() as u64;
-        // Rotate: the next appended tick starts a new segment.
-        self.wal = None;
+        let next = wal_path(&self.dir, ticks_applied);
+        match &mut self.wal {
+            Some(wal) => wal.rotate(&next)?,
+            None => self.wal = Some(WalWriter::create(&next)?),
+        }
         self.prune(ticks_applied)?;
         Ok(())
     }

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::BufMut;
 
-use crate::snapshot::crc32;
+use crate::crc::{crc32, crc32_update};
 
 /// First bytes of every WAL segment ("KalStream WAL").
 pub const WAL_MAGIC: [u8; 4] = *b"KSWL";
@@ -44,47 +44,68 @@ pub const WAL_MAGIC: [u8; 4] = *b"KSWL";
 /// Current WAL format version.
 pub const WAL_VERSION: u16 = 1;
 
+/// Bytes of a segment header: magic, version, reserved.
+const SEGMENT_HEADER_BYTES: usize = 4 + 2 + 2;
+
 /// Fixed bytes per record before the payload.
 const RECORD_HEADER_BYTES: usize = 4 + 8 + 4;
 
 /// Appender over one open segment file. Records are written with a single
 /// `write_all` each, so a crash tears at most the final record — which the
-/// reader detects and discards.
+/// reader detects and discards. Each record is assembled in a buffer the
+/// writer keeps (across [`WalWriter::rotate`] too), so a steady-state
+/// append does not allocate.
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     records: u64,
     bytes: u64,
+    record: Vec<u8>,
+}
+
+/// Creates a segment file at `path` and writes its header.
+fn create_segment(path: &Path) -> io::Result<File> {
+    let mut file = File::create(path)?;
+    let mut header = [0u8; SEGMENT_HEADER_BYTES];
+    header[..4].copy_from_slice(&WAL_MAGIC);
+    header[4..6].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    file.write_all(&header)?;
+    Ok(file)
 }
 
 impl WalWriter {
     /// Creates a fresh segment at `path` and writes its header.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let mut file = File::create(path)?;
-        let mut header = Vec::with_capacity(8);
-        header.put_slice(&WAL_MAGIC);
-        header.put_u16_le(WAL_VERSION);
-        header.put_u16_le(0);
-        file.write_all(&header)?;
         Ok(WalWriter {
-            file,
+            file: create_segment(path)?,
             path: path.to_path_buf(),
             records: 0,
-            bytes: header.len() as u64,
+            bytes: SEGMENT_HEADER_BYTES as u64,
+            record: Vec::new(),
         })
     }
 
-    /// Appends one tick's wire batch as a single record.
+    /// Closes this segment and continues in a fresh one at `path`, keeping
+    /// the record buffer.
+    pub fn rotate(&mut self, path: &Path) -> io::Result<()> {
+        self.file = create_segment(path)?;
+        self.path = path.to_path_buf();
+        self.records = 0;
+        self.bytes = SEGMENT_HEADER_BYTES as u64;
+        Ok(())
+    }
+
+    /// Appends one tick's wire batch as a single record. The CRC streams
+    /// over `tick` and then the payload.
     pub fn append(&mut self, tick: u64, payload: &[u8]) -> io::Result<()> {
-        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+        let tick_bytes = tick.to_le_bytes();
+        let record = &mut self.record;
+        record.clear();
         record.put_u32_le(payload.len() as u32);
-        record.put_u64_le(tick);
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.put_u64_le(tick);
-        crc_input.put_slice(payload);
-        record.put_u32_le(crc32(&crc_input));
+        record.put_slice(&tick_bytes);
+        record.put_u32_le(crc32_update(crc32(&tick_bytes), payload));
         record.put_slice(payload);
-        self.file.write_all(&record)?;
+        self.file.write_all(record)?;
         self.records += 1;
         self.bytes += record.len() as u64;
         Ok(())
@@ -121,7 +142,7 @@ pub struct SegmentRead {
 pub fn read_segment(path: &Path) -> io::Result<SegmentRead> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
-    if buf.len() < 8 || buf[..4] != WAL_MAGIC {
+    if buf.len() < SEGMENT_HEADER_BYTES || buf[..4] != WAL_MAGIC {
         return Ok(SegmentRead {
             records: Vec::new(),
             torn: 1,
@@ -135,7 +156,7 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentRead> {
         });
     }
     let mut records = Vec::new();
-    let mut pos = 8usize;
+    let mut pos = SEGMENT_HEADER_BYTES;
     let mut torn = 0u64;
     while pos < buf.len() {
         if buf.len() - pos < RECORD_HEADER_BYTES {
@@ -161,10 +182,7 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentRead> {
             break;
         }
         let payload = &buf[body_start..body_start + len];
-        let mut crc_input = Vec::with_capacity(8 + len);
-        crc_input.put_u64_le(tick);
-        crc_input.put_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        if crc32_update(crc32(&buf[pos + 4..pos + 12]), payload) != stored_crc {
             torn = 1;
             break;
         }

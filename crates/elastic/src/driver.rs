@@ -237,6 +237,10 @@ impl<I: ResizableIngest + SnapshotSource> SnapshotSource for ElasticIngest<I> {
     fn snapshot_states(&mut self) -> Vec<(u32, kalstream_core::EndpointState)> {
         self.inner.snapshot_states()
     }
+
+    fn snapshot_records(&mut self, out: &mut Vec<u8>) -> u32 {
+        self.inner.snapshot_records(out)
+    }
 }
 
 impl<I: ResizableIngest> Instrument for ElasticIngest<I> {

@@ -202,6 +202,13 @@ pub fn push_marker(buf: &mut Vec<u8>) {
 /// Wire size of the marker frame.
 pub const MARKER_BYTES: usize = FRAME_HEADER_BYTES;
 
+/// The tick-marker frame's bytes — what [`push_marker`] appends — for
+/// senders that share one static buffer instead of building a frame.
+pub const MARKER: [u8; MARKER_BYTES] = {
+    let id = TICK_MARKER_STREAM.to_le_bytes();
+    [id[0], id[1], id[2], id[3], 0, 0, 0, 0]
+};
+
 /// Re-frames one socket read: feeds `chunk` into `decoder` and splits the
 /// result at tick boundaries. Frames accumulate into `tick_buf` as raw
 /// wire bytes (header + body, ready for `ingest_tick`); each completed
@@ -247,6 +254,74 @@ pub fn encode_tick(payloads: &[(u32, Bytes)]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn static_marker_is_what_push_marker_writes() {
+        let mut buf = Vec::new();
+        push_marker(&mut buf);
+        assert_eq!(buf, MARKER);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary prefixes never panic, and an accepted count never
+        /// exceeds the configured cap or the hard ceiling — the server
+        /// sizes the id read from it.
+        #[test]
+        fn hello_prefix_decoder_bounds_every_claim(
+            magic in prop::collection::vec(any::<u8>(), 4..=4),
+            valid_magic in any::<bool>(),
+            near in 0u32..(4 * MAX_HELLO_STREAMS as u32),
+            raw in any::<u32>(),
+            use_raw in any::<bool>(),
+            cap in 0usize..(2 * MAX_HELLO_STREAMS),
+        ) {
+            let mut prefix = [0u8; 8];
+            prefix[..4].copy_from_slice(if valid_magic { &HELLO_MAGIC } else { &magic[..] });
+            let claimed = if use_raw { raw } else { near };
+            prefix[4..].copy_from_slice(&claimed.to_le_bytes());
+            match decode_hello_prefix(&prefix, cap) {
+                Ok(count) => {
+                    prop_assert_eq!(&prefix[..4], &HELLO_MAGIC[..]);
+                    prop_assert_eq!(count, claimed as usize);
+                    prop_assert!(count <= cap.min(MAX_HELLO_STREAMS));
+                }
+                Err(HelloError::TooManyStreams { claimed, cap: limit }) => {
+                    prop_assert!(claimed > limit);
+                    prop_assert_eq!(limit, cap.min(MAX_HELLO_STREAMS));
+                }
+                Err(e) => prop_assert_eq!(e, HelloError::BadMagic),
+            }
+        }
+
+        /// Arbitrary id bodies never panic and decode to one id per whole
+        /// 4 bytes (no more memory than the body itself); only the reserved
+        /// marker id is refused.
+        #[test]
+        fn hello_ids_decoder_never_panics(
+            mut body in prop::collection::vec(any::<u8>(), 0..256),
+            plant_marker in any::<bool>(),
+        ) {
+            if plant_marker && body.len() >= 4 {
+                body[..4].copy_from_slice(&TICK_MARKER_STREAM.to_le_bytes());
+            }
+            let has_marker = body
+                .chunks_exact(4)
+                .any(|c| c == TICK_MARKER_STREAM.to_le_bytes());
+            match decode_hello_ids(&body) {
+                Ok(ids) => {
+                    prop_assert!(!has_marker);
+                    prop_assert_eq!(ids.len(), body.len() / 4);
+                }
+                Err(e) => {
+                    prop_assert!(has_marker);
+                    prop_assert_eq!(e, HelloError::ReservedStream);
+                }
+            }
+        }
+    }
 
     fn prefix_claiming(count: u32) -> [u8; 8] {
         let mut prefix = [0u8; 8];

@@ -53,8 +53,8 @@ use tokio::runtime::Builder;
 use tokio::sync::mpsc;
 
 use crate::codec::{
-    decode_hello_ids, decode_hello_prefix, encode_status, feed_ticks, push_frame, push_marker,
-    HelloStatus, MARKER_BYTES, MAX_HELLO_STREAMS,
+    decode_hello_ids, decode_hello_prefix, encode_status, feed_ticks, push_frame, HelloStatus,
+    MARKER, MARKER_BYTES, MAX_HELLO_STREAMS,
 };
 
 /// Per-connection feedback queue depth. Small enough to bound server
@@ -593,9 +593,7 @@ async fn serve(
                     if state.eof {
                         continue;
                     }
-                    let mut marker = Vec::with_capacity(MARKER_BYTES);
-                    push_marker(&mut marker);
-                    if writer.try_send(Bytes::from(marker)).is_err() {
+                    if writer.try_send(Bytes::from_static(&MARKER)).is_err() {
                         state.shed += 1;
                     }
                 }
