@@ -1,7 +1,8 @@
 //! Fast allocation regression gate (`cargo bench-smoke`).
 //!
-//! Runs the protocol steady-state loop and the bare filter loop under the
-//! counting allocator and **fails (exit 1) if either performs any heap
+//! Runs the protocol steady-state loop, a settled adaptive source (the
+//! default scalar session, syncs included) and the bare filter loop under
+//! the counting allocator and **fails (exit 1) if any performs a heap
 //! allocation per tick**. Finishes in well under a second; wire it into CI
 //! next to the unit tests. Honours `--metrics-out <path>` for the CI
 //! artifact contract.
@@ -51,6 +52,38 @@ fn main() {
             "FAIL protocol steady-state tick allocated: {} allocations over {TICKS} ticks ({:.2}/tick)",
             allocs,
             allocs as f64 / TICKS as f64
+        );
+        failures += 1;
+    }
+
+    // Settled adaptive source: the default scalar session the system
+    // installs, on a sinusoid that keeps it syncing, so the counted ticks
+    // cover adaptation and sync construction as well as quiet ticks.
+    let mut adaptive =
+        SessionSpec::default_scalar(0.0, ProtocolConfig::new(0.5).expect("valid delta"))
+            .expect("valid spec")
+            .build()
+            .split()
+            .0;
+    let wave = |t: u64| (t as f64 * 0.05).sin() * 4.0;
+    for t in 0..1_000 {
+        adaptive.decide(&[wave(t)]);
+    }
+    let syncs_before = adaptive.syncs();
+    let (allocs, _) = alloc_count::count_allocs(|| {
+        for t in 1_000..1_000 + TICKS {
+            std::hint::black_box(adaptive.decide(&[wave(t)]));
+        }
+    });
+    let syncs = adaptive.syncs() - syncs_before;
+    let mut scope = metrics.scope("smoke.adaptive");
+    scope.counter("allocations", allocs);
+    scope.counter("syncs", syncs);
+    if allocs == 0 && syncs > 0 {
+        println!("OK   adaptive source tick: 0 allocations over {TICKS} ticks ({syncs} syncs)");
+    } else {
+        println!(
+            "FAIL adaptive source tick: {allocs} allocations over {TICKS} ticks ({syncs} syncs; the check needs > 0)"
         );
         failures += 1;
     }

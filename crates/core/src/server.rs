@@ -101,7 +101,7 @@ impl ServerEndpoint {
     /// process noise. This is the per-stream uncertainty the query graph
     /// propagates into distributional answers.
     pub fn served_variance(&self) -> f64 {
-        self.filter.predicted_measurement_cov().get(0, 0)
+        self.filter.predicted_measurement_var(0)
     }
 
     /// Applies one decoded sync message immediately (test/query-layer hook;

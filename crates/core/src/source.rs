@@ -409,6 +409,12 @@ impl Instrument for SourceEndpoint {
         scope.counter("bound_directives", self.bound_directives);
         scope.counter("acked_seq", self.acks.last_acked());
         scope.gauge("delta", self.delta());
+        // The adaptive estimator's consistency signal: windowed mean NIS
+        // (≈ m when the model fits) and the Q scale it has driven.
+        if let Estimator::Adaptive(akf) = &self.estimator {
+            scope.gauge("estimator.mean_nis", akf.mean_nis());
+            scope.gauge("estimator.q_scale", akf.q_scale());
+        }
     }
 }
 
@@ -425,6 +431,48 @@ mod tests {
             kf,
             ProtocolConfig::new(delta).unwrap(),
         )
+    }
+
+    #[test]
+    fn adaptive_estimator_exports_nis_and_q_scale_without_touching_it() {
+        use kalstream_filter::{AdaptiveConfig, AdaptiveKalmanFilter};
+        use kalstream_obs::Registry;
+        let kf = KalmanFilter::new(models::random_walk(0.01, 0.01), Vector::zeros(1), 1.0).unwrap();
+        let adaptive = Estimator::Adaptive(AdaptiveKalmanFilter::new(
+            kf.clone(),
+            AdaptiveConfig::default(),
+        ));
+        let mut s = SourceEndpoint::new(adaptive, kf, ProtocolConfig::new(0.5).unwrap());
+        let mut twin = s.clone();
+        for t in 0..300 {
+            let v = (t as f64 * 0.07).sin() * 3.0 + if t > 150 { 0.2 * t as f64 } else { 0.0 };
+            s.decide(&[v]);
+            twin.decide(&[v]);
+        }
+        let mut reg = Registry::new();
+        reg.observe("src", &s);
+        let snap = reg.snapshot();
+        let Estimator::Adaptive(akf) = s.estimator() else {
+            unreachable!("built adaptive")
+        };
+        assert!(akf.mean_nis() > 0.0);
+        assert_ne!(akf.q_scale(), 1.0, "the ramp should have rescaled Q");
+        assert_eq!(snap.gauge("src.estimator.mean_nis"), Some(akf.mean_nis()));
+        assert_eq!(snap.gauge("src.estimator.q_scale"), Some(akf.q_scale()));
+        // Exporting reads only: the exported source stays bit-identical to
+        // its unexported twin.
+        let (a, b) = (s.estimator().active(), twin.estimator().active());
+        assert_eq!(a.state(), b.state());
+        assert_eq!(a.covariance(), b.covariance());
+        assert_eq!(a.model(), b.model());
+        assert_eq!(s.decide(&[1.0]), twin.decide(&[1.0]));
+
+        // A fixed estimator has neither signal.
+        let mut reg = Registry::new();
+        reg.observe("src", &source(0.5));
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("src.estimator.mean_nis"), None);
+        assert_eq!(snap.gauge("src.estimator.q_scale"), None);
     }
 
     #[test]

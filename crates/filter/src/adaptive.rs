@@ -16,9 +16,9 @@
 
 use std::collections::VecDeque;
 
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_linalg::{Cholesky, Matrix, Vector};
 
-use crate::{KalmanFilter, Result, StateModel, UpdateOutcome};
+use crate::{KalmanFilter, Result, UpdateOutcome};
 
 /// Tuning knobs for [`AdaptiveKalmanFilter`].
 #[derive(Debug, Clone)]
@@ -65,34 +65,47 @@ impl Default for AdaptiveConfig {
 /// `AdaptiveKalmanFilter` fed the same inputs stays identical — which is what
 /// lets the suppression protocol run an adaptive filter as the shared
 /// source/server procedure.
+///
+/// Every update runs here, at every source, so the windows hold only the
+/// `m·m` live values of each matrix (row-major, oldest update first) rather
+/// than inline `Matrix` values, and adopted estimates overwrite the inner
+/// model's `Q`/`R` in place rather than rebuilding the model.
 #[derive(Debug, Clone)]
 pub struct AdaptiveKalmanFilter {
     inner: KalmanFilter,
     config: AdaptiveConfig,
-    /// Base model whose `Q` the scale factor refers to.
-    base: StateModel,
+    /// Base `Q` the scale factor refers to.
+    base_q: Matrix,
     /// Current cumulative Q-scale factor.
     q_scale: f64,
-    /// Window of innovation outer products (m × m).
-    innov_outer: VecDeque<Matrix>,
-    /// Window of prior measurement covariances `H P⁻ Hᵀ` (m × m).
-    prior_cov: VecDeque<Matrix>,
-    /// Window of NIS values.
+    /// Window of innovation outer products `ν νᵀ`, `m·m` values each.
+    innov_outer: VecDeque<f64>,
+    /// Window of prior measurement covariances `H P⁻ Hᵀ`, `m·m` values each.
+    prior_cov: VecDeque<f64>,
+    /// Window of NIS values, one per update: its length is the number of
+    /// updates every window holds.
     nis: VecDeque<f64>,
+    /// Scratch for the `R` estimate (m × m).
+    r_hat: Matrix,
+    /// Scratch factorisation for the estimate's positive-definiteness check.
+    r_chol: Cholesky,
 }
 
 impl AdaptiveKalmanFilter {
     /// Wraps a filter.
     pub fn new(inner: KalmanFilter, config: AdaptiveConfig) -> Self {
-        let base = inner.model().clone();
+        let base_q = inner.model().q().clone();
+        let m = inner.model().measurement_dim();
         AdaptiveKalmanFilter {
             inner,
             config,
-            base,
+            base_q,
             q_scale: 1.0,
             innov_outer: VecDeque::new(),
             prior_cov: VecDeque::new(),
             nis: VecDeque::new(),
+            r_hat: Matrix::zeros(m, m),
+            r_chol: Cholesky::empty(),
         }
     }
 
@@ -101,7 +114,9 @@ impl AdaptiveKalmanFilter {
         &self.inner
     }
 
-    /// Mutable access to the wrapped filter (for resynchronisation).
+    /// Mutable access to the wrapped filter (for resynchronisation). A model
+    /// replaced through it must keep the measurement dimension: the windows
+    /// hold `m·m` values per update.
     pub fn inner_mut(&mut self) -> &mut KalmanFilter {
         &mut self.inner
     }
@@ -139,28 +154,33 @@ impl AdaptiveKalmanFilter {
     /// Propagates [`KalmanFilter::update`] errors; adaptation itself never
     /// fails (a non-PD `R` estimate is skipped, not applied).
     pub fn update(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        // Capture the *prior* measurement covariance before the update
-        // consumes it: Hᵀ P⁻ H + R − R = H P⁻ Hᵀ.
-        let prior_s = self.inner.predicted_measurement_cov();
-        let prior_hph = &prior_s - self.inner.model().r();
-
         let outcome = self.inner.update(z)?;
 
-        // Maintain windows.
-        let m = outcome.innovation.dim();
-        let mut outer = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                outer.set(i, j, outcome.innovation[i] * outcome.innovation[j]);
-            }
-        }
-        push_window(&mut self.innov_outer, outer, self.config.window);
-        push_window(&mut self.prior_cov, prior_hph, self.config.window);
-        push_window(&mut self.nis, outcome.nis, self.config.window);
+        // The update leaves R alone and builds S = H P⁻ Hᵀ + R with the
+        // same operations `predicted_measurement_cov` runs, so S − R is the
+        // prior H P⁻ Hᵀ bit for bit as that call before the update gave it.
+        let nu = outcome.innovation.as_slice();
+        let s = outcome.innovation_cov.as_slice();
+        let r = self.inner.model().r().as_slice();
+        let cap = self.config.window;
+        push_window(
+            &mut self.innov_outer,
+            nu.iter().flat_map(|&ni| nu.iter().map(move |&nj| ni * nj)),
+            r.len(),
+            cap,
+        );
+        push_window(
+            &mut self.prior_cov,
+            s.iter().zip(r).map(|(&s, &r)| s - r),
+            r.len(),
+            cap,
+        );
+        push_window(&mut self.nis, [outcome.nis], 1, cap);
 
-        if self.innov_outer.len() >= self.config.window {
+        let m = nu.len();
+        if self.nis.len() >= self.config.window {
             if self.config.adapt_r {
-                self.adapt_r();
+                self.adapt_r(m);
             }
             if self.config.adapt_q {
                 self.adapt_q(m);
@@ -178,33 +198,29 @@ impl AdaptiveKalmanFilter {
         self.update(z)
     }
 
-    fn adapt_r(&mut self) {
-        let m = self.inner.model().measurement_dim();
-        let count = self.innov_outer.len() as f64;
-        let mut c = Matrix::zeros(m, m);
-        for o in &self.innov_outer {
-            c += o;
-        }
-        c.scale_mut(1.0 / count);
-        let mut hph = Matrix::zeros(m, m);
-        for p in &self.prior_cov {
-            hph += p;
-        }
-        hph.scale_mut(1.0 / count);
+    fn adapt_r(&mut self, m: usize) {
         // R̂ = mean(ν νᵀ) − mean(H P⁻ Hᵀ), floored on the diagonal.
-        let mut r_hat = &c - &hph;
-        for i in 0..m {
-            let d = r_hat.get(i, i).max(self.config.r_floor);
-            r_hat.set(i, i, d);
+        // Each element is summed oldest to newest from +0.0 and then scaled
+        // by 1/count — the operations, in order, of summing whole matrices
+        // with `+=` and `scale_mut`.
+        let inv_count = 1.0 / self.nis.len() as f64;
+        let mean = |w: &VecDeque<f64>, e: usize| {
+            w.iter().skip(e).step_by(m * m).fold(0.0, |acc, v| acc + v) * inv_count
+        };
+        self.r_hat.resize_zeroed(m, m);
+        for (e, v) in self.r_hat.as_mut_slice().iter_mut().enumerate() {
+            *v = mean(&self.innov_outer, e) - mean(&self.prior_cov, e);
         }
-        r_hat.symmetrize_mut();
+        for i in 0..m {
+            let d = self.r_hat.get(i, i).max(self.config.r_floor);
+            self.r_hat.set(i, i, d);
+        }
+        self.r_hat.symmetrize_mut();
         // Only adopt estimates that are positive definite; otherwise keep
         // the current R (a window straddling a regime change can go
         // indefinite transiently).
-        if r_hat.cholesky().is_ok() {
-            if let Ok(model) = self.inner.model().with_measurement_noise(r_hat) {
-                let _ = self.inner.set_model(model);
-            }
+        if self.r_chol.refactor(&self.r_hat).is_ok() {
+            let _ = self.inner.set_measurement_noise(&self.r_hat);
         }
     }
 
@@ -220,13 +236,11 @@ impl AdaptiveKalmanFilter {
         }
         if new_scale != self.q_scale {
             self.q_scale = new_scale;
-            // Rebuild Q from the *base* model so floating error never
-            // compounds, then re-apply the live (possibly adapted) R.
-            if let Ok(scaled) = self.base.with_scaled_q(self.q_scale) {
-                if let Ok(model) = scaled.with_measurement_noise(self.inner.model().r().clone()) {
-                    let _ = self.inner.set_model(model);
-                }
-            }
+            // Rescale from the *base* Q so floating error never compounds;
+            // the live (possibly adapted) R stays.
+            let _ = self
+                .inner
+                .set_process_noise(&self.base_q.scaled(self.q_scale));
             // Every estimation window now spans two different models, so
             // all of them restart: an R estimate computed from mixed-model
             // innovations is biased (it oscillates wildly in practice), and
@@ -238,11 +252,22 @@ impl AdaptiveKalmanFilter {
     }
 }
 
-fn push_window<T>(dq: &mut VecDeque<T>, v: T, cap: usize) {
-    dq.push_back(v);
-    while dq.len() > cap {
-        dq.pop_front();
+/// Appends one update's `width` values to a flat window of at most `cap`
+/// updates. The oldest update goes first, so the ring never holds more
+/// than `cap · width` values and its storage stops growing at that size.
+fn push_window(
+    w: &mut VecDeque<f64>,
+    values: impl IntoIterator<Item = f64>,
+    width: usize,
+    cap: usize,
+) {
+    if cap == 0 {
+        return;
     }
+    if w.len() / width >= cap {
+        w.drain(..width);
+    }
+    w.extend(values);
 }
 
 #[cfg(test)]
@@ -361,17 +386,34 @@ mod tests {
 
     #[test]
     fn window_is_bounded() {
-        let mut akf = adaptive_walk(
-            1.0,
-            AdaptiveConfig {
-                window: 4,
-                ..Default::default()
-            },
-        );
+        // Two measured components: the matrix windows hold m·m = 4 values
+        // per update and the NIS window one, so updates are counted by the
+        // NIS window's length.
+        let model = crate::StateModel::new(
+            "walk2",
+            Matrix::identity(2),
+            Matrix::scalar(2, 0.01),
+            Matrix::identity(2),
+            Matrix::scalar(2, 1.0),
+        )
+        .unwrap();
+        let kf = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap();
+        let config = AdaptiveConfig {
+            window: 4,
+            ..Default::default()
+        };
+        let mut akf = AdaptiveKalmanFilter::new(kf, config);
         for t in 0..50 {
-            akf.step(&Vector::from_slice(&[t as f64 * 0.01])).unwrap();
+            let v = t as f64 * 0.01;
+            akf.step(&Vector::from_slice(&[v, -v])).unwrap();
+            let updates = akf.nis.len();
+            assert!(updates <= 4);
+            assert_eq!(akf.innov_outer.len(), 4 * updates);
+            assert_eq!(akf.prior_cov.len(), 4 * updates);
         }
-        assert!(akf.nis.len() <= 4);
-        assert!(akf.innov_outer.len() <= 4);
+        // Dropping before appending keeps the storage from doubling past
+        // the window size (16 and 4 values here).
+        assert!(akf.innov_outer.capacity() < 32);
+        assert!(akf.nis.capacity() < 8);
     }
 }

@@ -232,8 +232,7 @@ impl KalmanFilter {
         &self.model
     }
 
-    /// Replaces the model in place, keeping state and covariance. Used by
-    /// the adaptive layer when it re-estimates `Q`/`R`.
+    /// Replaces the model, keeping state and covariance.
     ///
     /// # Errors
     /// [`FilterError::BadModel`] when the new model's state dimension
@@ -248,6 +247,22 @@ impl KalmanFilter {
         }
         self.model = model;
         Ok(())
+    }
+
+    /// Overwrites the model's `Q` in place (adaptive rescaling).
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `q` is not `n × n`.
+    pub(crate) fn set_process_noise(&mut self, q: &Matrix) -> Result<()> {
+        self.model.set_process_noise(q)
+    }
+
+    /// Overwrites the model's `R` in place (adaptive re-estimation).
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `r` is not `m × m`.
+    pub(crate) fn set_measurement_noise(&mut self, r: &Matrix) -> Result<()> {
+        self.model.set_measurement_noise(r)
     }
 
     /// Current state estimate.
@@ -354,6 +369,36 @@ impl KalmanFilter {
             + self.model.r();
         s.symmetrize_mut();
         s
+    }
+
+    /// Diagonal entry `(i, i)` of [`KalmanFilter::predicted_measurement_cov`],
+    /// bit-identical to it, without building `S`: row `i` of `H P` and its
+    /// product with row `i` of `H` run in `sandwich`'s operation order
+    /// (same accumulation order, same zero skip), then `+ R(i, i)`.
+    ///
+    /// # Panics
+    /// When `i` is not below the measurement dimension.
+    pub fn predicted_measurement_var(&self, i: usize) -> f64 {
+        let h = self.model.h().row(i);
+        // n ≤ VECTOR_INLINE_CAP is enforced at construction.
+        let mut hp = [0.0; kalstream_linalg::VECTOR_INLINE_CAP];
+        let hp = &mut hp[..h.len()];
+        for (k, &a) in h.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, b) in hp.iter_mut().zip(self.p.row(k)) {
+                *o += a * b;
+            }
+        }
+        let mut hph = 0.0;
+        for (&a, &b) in hp.iter().zip(h) {
+            if a == 0.0 {
+                continue;
+            }
+            hph += a * b;
+        }
+        hph + self.model.r().get(i, i)
     }
 
     /// Measurement update with observation `z`.

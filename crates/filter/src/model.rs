@@ -13,17 +13,19 @@ use crate::{FilterError, Result};
 /// z_t     = H x_t + v_t,   v_t ~ N(0, R)
 /// ```
 ///
-/// `StateModel` is immutable after validation; adaptive filters that rescale
-/// `Q`/`R` do so through [`StateModel::with_process_noise`] /
-/// [`StateModel::with_measurement_noise`], producing a new validated model.
+/// `StateModel`'s shapes are fixed at validation. Callers derive variants
+/// through [`StateModel::with_process_noise`] /
+/// [`StateModel::with_measurement_noise`], producing a new validated model;
+/// the adaptive layer instead overwrites `Q`/`R` in place through
+/// crate-private setters that re-check the shape.
 /// The dual-filter protocol serialises models in sync messages, so the type
 /// derives `serde` traits behind the default feature.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateModel {
     /// Human-readable model name (used by the model bank and experiment
-    /// logs). `Arc<str>` so the adaptive layer's per-update model rebuilds
-    /// share the name instead of reallocating it.
+    /// logs). `Arc<str>` so model clones (sync messages, shadows) share the
+    /// name instead of reallocating it.
     name: Arc<str>,
     /// State-transition matrix `F` (`n × n`).
     f: Matrix,
@@ -152,6 +154,44 @@ impl StateModel {
         )
     }
 
+    /// Overwrites `Q` in place with a copy of `q` (the adaptive layer's
+    /// rescale, without rebuilding the model).
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `q`'s shape differs from `n × n`; the
+    /// model is left unchanged.
+    pub(crate) fn set_process_noise(&mut self, q: &Matrix) -> Result<()> {
+        let n = self.state_dim();
+        if q.shape() != (n, n) {
+            return Err(FilterError::BadModel {
+                what: "Q",
+                expected: (n, n),
+                actual: q.shape(),
+            });
+        }
+        self.q.copy_from(q);
+        Ok(())
+    }
+
+    /// Overwrites `R` in place with a copy of `r` (the adaptive layer's
+    /// re-estimate, without rebuilding the model).
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `r`'s shape differs from `m × m`; the
+    /// model is left unchanged.
+    pub(crate) fn set_measurement_noise(&mut self, r: &Matrix) -> Result<()> {
+        let m = self.measurement_dim();
+        if r.shape() != (m, m) {
+            return Err(FilterError::BadModel {
+                what: "R",
+                expected: (m, m),
+                actual: r.shape(),
+            });
+        }
+        self.r.copy_from(r);
+        Ok(())
+    }
+
     /// Returns a copy with the process noise scaled by `factor` (> 0).
     ///
     /// # Errors
@@ -223,5 +263,27 @@ mod tests {
         assert!(m.with_measurement_noise(Matrix::scalar(2, 2.0)).is_err());
         let m3 = m.with_scaled_q(10.0).unwrap();
         assert!((m3.q().get(0, 0) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_place_noise_setters_check_shape_and_match_rebuilds() {
+        let (f, q, h, r) = valid_parts();
+        let mut m = StateModel::new("cv", f, q, h, r).unwrap();
+        let r2 = Matrix::scalar(1, 2.0);
+        let rebuilt = m.with_measurement_noise(r2.clone()).unwrap();
+        m.set_measurement_noise(&r2).unwrap();
+        assert_eq!(m, rebuilt);
+        let q2 = m.q().scaled(3.0);
+        let rebuilt = m.with_process_noise(q2.clone()).unwrap();
+        m.set_process_noise(&q2).unwrap();
+        assert_eq!(m, rebuilt);
+        let before = m.clone();
+        let err = m
+            .set_measurement_noise(&Matrix::scalar(2, 1.0))
+            .unwrap_err();
+        assert!(matches!(err, FilterError::BadModel { what: "R", .. }));
+        let err = m.set_process_noise(&Matrix::scalar(1, 1.0)).unwrap_err();
+        assert!(matches!(err, FilterError::BadModel { what: "Q", .. }));
+        assert_eq!(m, before);
     }
 }

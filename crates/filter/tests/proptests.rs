@@ -8,6 +8,8 @@ use kalstream_filter::{
 };
 use kalstream_linalg::{Matrix, Vector};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 
 /// Strategy: a healthy scalar random-walk-family model.
 fn walk_model() -> impl Strategy<Value = StateModel> {
@@ -226,5 +228,55 @@ proptest! {
             kf.state().max_abs_diff(ukf.state()) < 1e-6,
             "UKF diverged from KF on a linear model"
         );
+    }
+}
+
+/// A random `rows × cols` matrix whose entries are zero with probability
+/// `zero_frac`, drawn from `rng`.
+fn sparse_matrix(rng: &mut SmallRng, rows: usize, cols: usize, zero_frac: f64) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| {
+            if rng.random::<f64>() < zero_frac {
+                0.0
+            } else {
+                rng.random::<f64>() * 4.0 - 2.0
+            }
+        })
+        .collect();
+    Matrix::from_row_major(rows, cols, data)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn predicted_measurement_var_is_the_diagonal_of_s_to_the_bit(
+        n in 1usize..9,
+        m in 1usize..9,
+        seed in any::<u64>(),
+        diag_p in any::<bool>(),
+        predicts in 0usize..3,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // H with zero entries (and sometimes zero rows) exercises both
+        // zero skips of the sandwich; a diagonal P adds exact zeros to H P.
+        let h = sparse_matrix(&mut rng, m, n, 0.4);
+        let r = Matrix::from_diag(&(0..m).map(|_| rng.random::<f64>() + 1e-3).collect::<Vec<_>>());
+        let p = if diag_p {
+            Matrix::from_diag(&(0..n).map(|_| rng.random::<f64>() + 0.1).collect::<Vec<_>>())
+        } else {
+            let a = sparse_matrix(&mut rng, n, n, 0.3);
+            &a.matmul(&a.transpose()).unwrap() + &Matrix::scalar(n, 0.1)
+        };
+        let f = sparse_matrix(&mut rng, n, n, 0.5);
+        let model = StateModel::new("rand", f, Matrix::scalar(n, 0.01), h, r).unwrap();
+        let mut kf = KalmanFilter::with_covariance(model, Vector::zeros(n), p).unwrap();
+        for _ in 0..predicts {
+            kf.predict().unwrap();
+        }
+        let s = kf.predicted_measurement_cov();
+        for i in 0..m {
+            prop_assert_eq!(kf.predicted_measurement_var(i).to_bits(), s.get(i, i).to_bits());
+        }
     }
 }
